@@ -1,36 +1,26 @@
-//! The `batch` experiment: parallel whole-library characterization and
-//! level-parallel STA, timed sequential-vs-parallel.
+//! The `batch` experiment: parallel whole-library characterization, timed
+//! sequential-vs-parallel.
 //!
 //! This is the throughput side of the paper's pitch — current-source models
-//! only pay off if characterizing a library and timing a netlist are cheap
-//! enough to run at scale. The experiment:
-//!
-//! 1. characterizes every model family of a cell list twice — once on one
-//!    thread, once on `threads` — and checks the stores are **bit-identical**;
-//! 2. builds a layered synthetic netlist, propagates waveforms through it
-//!    sequentially and level-parallel, and checks every net's waveform is
-//!    bit-identical;
-//! 3. emits a machine-readable [`BatchReport`] (written by the `batch` binary
-//!    to `BENCH_batch.json`) so CI can track the speedup trajectory.
+//! only pay off if characterizing a library is cheap enough to run at scale.
+//! The experiment characterizes every model family of a cell list twice —
+//! once on one thread, once on `threads` — checks the stores are
+//! **bit-identical**, and emits a machine-readable [`BatchReport`] (written by
+//! the `batch` binary to `BENCH_batch.json`) so CI can track the speedup
+//! trajectory. Netlist-level timing throughput is the `netsim` experiment's
+//! subject.
 //!
 //! Honors `MCSM_BENCH_FAST=1` (see [`crate::report::fast_mode`]) by shrinking
-//! grids and netlist sizes so smoke runs finish in seconds.
+//! grids so smoke runs finish in seconds.
 
 use crate::report::fast_or;
 use mcsm_cells::cell::{CellKind, CellTemplate};
 use mcsm_cells::tech::Technology;
 use mcsm_core::characterize::{characterization_tasks, characterize_batch};
 use mcsm_core::config::CharacterizationConfig;
-use mcsm_core::sim::{CsmSimOptions, DriveWaveform};
-use mcsm_net::{Netlist, NetlistBuilder};
 use mcsm_num::json::JsonValue;
 use mcsm_num::par;
-use mcsm_sta::arrival::{propagate, TimingOptions, TimingResult};
-use mcsm_sta::delaycalc::{DelayBackend, DelayCalculator};
-use mcsm_sta::graph::GateGraph;
-use mcsm_sta::models::ModelLibrary;
 use mcsm_sta::StaError;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Configuration of one batch-experiment run.
@@ -42,12 +32,6 @@ pub struct BatchOptions {
     pub kinds: Vec<CellKind>,
     /// Characterization grids.
     pub config: CharacterizationConfig,
-    /// Width (gates per layer) of the synthetic STA netlist.
-    pub sta_width: usize,
-    /// Number of layers of the synthetic STA netlist.
-    pub sta_layers: usize,
-    /// Time step of the per-gate waveform simulations (seconds).
-    pub sta_dt: f64,
     /// Timed repetitions per measured pass; the best (minimum) wall clock is
     /// reported, damping scheduler noise on short runs.
     pub repeats: usize,
@@ -72,8 +56,8 @@ fn smoke_config() -> CharacterizationConfig {
 
 impl BatchOptions {
     /// The default experiment for a thread count: the full library with
-    /// standard grids, shrunk to mid-size smoke grids and a small netlist
-    /// when [`crate::report::fast_mode`] is active.
+    /// standard grids, shrunk to mid-size smoke grids when
+    /// [`crate::report::fast_mode`] is active.
     pub fn for_threads(threads: usize) -> Self {
         BatchOptions {
             threads,
@@ -86,9 +70,6 @@ impl BatchOptions {
                 CellKind::Aoi21,
             ],
             config: fast_or(smoke_config(), CharacterizationConfig::standard()),
-            sta_width: fast_or(6, 12),
-            sta_layers: fast_or(3, 6),
-            sta_dt: fast_or(4e-12, 1e-12),
             repeats: fast_or(3, 1),
         }
     }
@@ -109,31 +90,12 @@ pub struct BatchReport {
     pub characterize_parallel_seconds: f64,
     /// Whether the parallel stores equal the sequential ones bit-for-bit.
     pub characterization_identical: bool,
-    /// Gates in the synthetic STA netlist.
-    pub sta_gates: usize,
-    /// Topological levels of the synthetic STA netlist.
-    pub sta_levels: usize,
-    /// Wall-clock seconds of the sequential propagation.
-    pub sta_sequential_seconds: f64,
-    /// Wall-clock seconds of the level-parallel propagation.
-    pub sta_parallel_seconds: f64,
-    /// Whether the parallel waveforms equal the sequential ones bit-for-bit.
-    pub sta_identical: bool,
-    /// Delay-cache hits of the parallel propagation.
-    pub sta_cache_hits: usize,
-    /// Delay-cache misses of the parallel propagation.
-    pub sta_cache_misses: usize,
 }
 
 impl BatchReport {
     /// Sequential-over-parallel wall-clock ratio of the characterization pass.
     pub fn characterize_speedup(&self) -> f64 {
         self.characterize_sequential_seconds / self.characterize_parallel_seconds.max(1e-12)
-    }
-
-    /// Sequential-over-parallel wall-clock ratio of the STA pass.
-    pub fn sta_speedup(&self) -> f64 {
-        self.sta_sequential_seconds / self.sta_parallel_seconds.max(1e-12)
     }
 
     /// The machine-readable report written to `BENCH_batch.json`.
@@ -179,126 +141,15 @@ impl BatchReport {
                     ),
                 ]),
             ),
-            (
-                "sta".into(),
-                JsonValue::Object(vec![
-                    ("gates".into(), JsonValue::Number(self.sta_gates as f64)),
-                    ("levels".into(), JsonValue::Number(self.sta_levels as f64)),
-                    (
-                        "sequential_seconds".into(),
-                        JsonValue::Number(self.sta_sequential_seconds),
-                    ),
-                    (
-                        "parallel_seconds".into(),
-                        JsonValue::Number(self.sta_parallel_seconds),
-                    ),
-                    ("speedup".into(), JsonValue::Number(self.sta_speedup())),
-                    ("bit_identical".into(), JsonValue::Bool(self.sta_identical)),
-                    (
-                        "cache_hits".into(),
-                        JsonValue::Number(self.sta_cache_hits as f64),
-                    ),
-                    (
-                        "cache_misses".into(),
-                        JsonValue::Number(self.sta_cache_misses as f64),
-                    ),
-                ]),
-            ),
         ])
     }
-}
-
-/// Builds the synthetic layered netlist used by the STA half of the
-/// experiment: `width` NOR2 gates over paired primary inputs, then
-/// `layers - 1` further layers alternating inverters and neighbor-combining
-/// NAND2s. Every layer is `width` gates wide, so level-parallel propagation
-/// has real fan-out to chew on.
-///
-/// The circuit is described once through the [`mcsm_net::Netlist`] IR and
-/// lowered to the STA form — the same value could lower to SPICE for a
-/// golden-reference run.
-pub fn layered_graph(width: usize, layers: usize) -> Result<GateGraph, StaError> {
-    layered_netlist(width, layers)
-        .map_err(|e| StaError::InvalidGraph(e.to_string()))?
-        .to_gate_graph()
-}
-
-/// The batch experiment's layered circuit as a backend-neutral
-/// [`mcsm_net::Netlist`] (see [`layered_graph`] for the topology).
-///
-/// # Errors
-///
-/// Returns a [`mcsm_net::NetlistError`] if the requested shape is degenerate
-/// (zero width or layers).
-pub fn layered_netlist(width: usize, layers: usize) -> Result<Netlist, mcsm_net::NetlistError> {
-    let mut builder = NetlistBuilder::new(&format!("layered_{width}x{layers}"));
-    let mut current: Vec<String> = Vec::with_capacity(width);
-    for i in 0..width {
-        let a = format!("in{i}a");
-        let b = format!("in{i}b");
-        builder = builder.primary_input(&a).primary_input(&b);
-        let out = format!("l0_{i}");
-        builder = builder.gate(&format!("u0_{i}"), CellKind::Nor2, &[&a, &b], &out);
-        current.push(out);
-    }
-    for layer in 1..layers {
-        let mut next = Vec::with_capacity(width);
-        for i in 0..width {
-            let out = format!("l{layer}_{i}");
-            if layer % 2 == 1 {
-                builder = builder.gate(
-                    &format!("u{layer}_{i}"),
-                    CellKind::Inverter,
-                    &[&current[i]],
-                    &out,
-                );
-            } else {
-                builder = builder.gate(
-                    &format!("u{layer}_{i}"),
-                    CellKind::Nand2,
-                    &[&current[i], &current[(i + 1) % width]],
-                    &out,
-                );
-            }
-            next.push(out);
-        }
-        current = next;
-    }
-    for net in &current {
-        builder = builder.primary_output(net);
-    }
-    builder.build()
-}
-
-/// Staggered falling ramps on every primary input (a multiple-input-switching
-/// event per first-layer gate, with per-pin skew so the cones differ).
-pub fn batch_input_drives(graph: &GateGraph, vdd: f64) -> HashMap<mcsm_sta::NetId, DriveWaveform> {
-    graph
-        .primary_inputs()
-        .iter()
-        .enumerate()
-        .map(|(i, &pi)| {
-            let skew = 20e-12 * (i % 5) as f64;
-            (pi, DriveWaveform::falling_ramp(vdd, 1e-9 + skew, 80e-12))
-        })
-        .collect()
-}
-
-fn waveforms_identical(a: &TimingResult, b: &TimingResult) -> bool {
-    let mut nets: Vec<_> = a.nets().collect();
-    nets.sort();
-    nets.into_iter()
-        .all(|net| match (a.waveform(net), b.waveform(net)) {
-            (Ok(wa), Ok(wb)) => wa == wb,
-            _ => false,
-        })
 }
 
 /// Runs the batch experiment.
 ///
 /// # Errors
 ///
-/// Propagates characterization and propagation failures.
+/// Propagates characterization failures.
 pub fn run_batch(options: &BatchOptions) -> Result<BatchReport, StaError> {
     let threads = par::resolve_threads(options.threads);
     let technology = Technology::cmos_130nm();
@@ -331,36 +182,6 @@ pub fn run_batch(options: &BatchOptions) -> Result<BatchReport, StaError> {
     let (parallel_stores, characterize_parallel_seconds) = timed(threads)?;
     let characterization_identical = sequential_stores == parallel_stores;
 
-    // STA: the characterized library drives a layered netlist.
-    let mut library = ModelLibrary::new(technology.vdd);
-    for (&kind, store) in options.kinds.iter().zip(parallel_stores) {
-        library.insert(kind, store);
-    }
-    let graph = layered_graph(options.sta_width, options.sta_layers)?;
-    let drives = batch_input_drives(&graph, technology.vdd);
-    let window = 2e-9 + 0.4e-9 * options.sta_layers as f64;
-    let calculator = DelayCalculator::new(
-        DelayBackend::CompleteMcsm,
-        CsmSimOptions::new(window, options.sta_dt),
-        technology.vdd,
-    );
-    let sequential_options = TimingOptions::new(calculator, 2e-15);
-    let parallel_options = sequential_options.clone().with_threads(threads);
-
-    let timed_sta = |timing_options: &TimingOptions| -> Result<(_, f64), StaError> {
-        let mut best = f64::INFINITY;
-        let mut timing = None;
-        for _ in 0..options.repeats.max(1) {
-            let start = Instant::now();
-            let result = propagate(&graph, &library, &drives, timing_options)?;
-            best = best.min(start.elapsed().as_secs_f64());
-            timing = Some(result);
-        }
-        Ok((timing.expect("at least one repeat"), best))
-    };
-    let (sequential_timing, sta_sequential_seconds) = timed_sta(&sequential_options)?;
-    let (parallel_timing, sta_parallel_seconds) = timed_sta(&parallel_options)?;
-
     Ok(BatchReport {
         threads,
         cells: options.kinds.iter().map(|k| k.name().to_string()).collect(),
@@ -368,36 +189,12 @@ pub fn run_batch(options: &BatchOptions) -> Result<BatchReport, StaError> {
         characterize_sequential_seconds,
         characterize_parallel_seconds,
         characterization_identical,
-        sta_gates: graph.gates().len(),
-        sta_levels: graph.topological_levels()?.len(),
-        sta_sequential_seconds,
-        sta_parallel_seconds,
-        sta_identical: waveforms_identical(&sequential_timing, &parallel_timing),
-        sta_cache_hits: parallel_timing.cache_hits(),
-        sta_cache_misses: parallel_timing.cache_misses(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn layered_graph_has_the_advertised_shape() {
-        // The graph is built through the netlist IR; both views agree.
-        let netlist = layered_netlist(4, 3).unwrap();
-        assert_eq!(netlist.gate_count(), 12);
-        assert_eq!(netlist.primary_inputs().len(), 8);
-        let graph = layered_graph(4, 3).unwrap();
-        assert_eq!(graph.gates().len(), 12);
-        assert_eq!(graph.primary_inputs().len(), 8);
-        assert_eq!(graph.primary_outputs().len(), 4);
-        let levels = graph.topological_levels().unwrap();
-        assert_eq!(levels.len(), 3);
-        assert!(levels.iter().all(|level| level.len() == 4));
-        let drives = batch_input_drives(&graph, 1.2);
-        assert_eq!(drives.len(), 8);
-    }
 
     #[test]
     fn batch_report_serializes_every_field() {
@@ -408,22 +205,12 @@ mod tests {
             characterize_sequential_seconds: 2.0,
             characterize_parallel_seconds: 0.5,
             characterization_identical: true,
-            sta_gates: 12,
-            sta_levels: 3,
-            sta_sequential_seconds: 1.0,
-            sta_parallel_seconds: 0.5,
-            sta_identical: true,
-            sta_cache_hits: 7,
-            sta_cache_misses: 3,
         };
         assert!((report.characterize_speedup() - 4.0).abs() < 1e-9);
-        assert!((report.sta_speedup() - 2.0).abs() < 1e-9);
         let json = report.to_json();
         let chr = json.require("characterization").unwrap();
         assert_eq!(chr.require("speedup").unwrap().as_f64(), Some(4.0));
         assert_eq!(chr.require("bit_identical").unwrap().as_bool(), Some(true));
-        let sta = json.require("sta").unwrap();
-        assert_eq!(sta.require("cache_hits").unwrap().as_f64(), Some(7.0));
         // The report round-trips through the JSON writer/parser.
         let reparsed = JsonValue::parse(&json.to_string_pretty()).unwrap();
         assert_eq!(reparsed, json);
@@ -435,17 +222,12 @@ mod tests {
             threads: 2,
             kinds: vec![CellKind::Inverter, CellKind::Nor2],
             config: CharacterizationConfig::coarse(),
-            sta_width: 2,
-            sta_layers: 2,
-            sta_dt: 8e-12,
             repeats: 1,
         };
         let report = run_batch(&options).unwrap();
         assert!(report.characterization_identical);
-        assert!(report.sta_identical);
         assert_eq!(report.characterization_tasks, 5);
-        assert_eq!(report.sta_gates, 4);
         assert!(report.characterize_sequential_seconds > 0.0);
-        assert!(report.sta_parallel_seconds > 0.0);
+        assert!(report.characterize_parallel_seconds > 0.0);
     }
 }

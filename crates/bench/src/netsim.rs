@@ -14,14 +14,13 @@
 //! numerical engine, and throughput rises accordingly. Honors
 //! `MCSM_BENCH_FAST=1` (see [`crate::report::fast_mode`]).
 
-use crate::netlist_sweep::sweep_netlists;
 use crate::report::fast_or;
 use mcsm_cells::cell::CellKind;
 use mcsm_cells::tech::Technology;
 use mcsm_core::config::CharacterizationConfig;
 use mcsm_core::sim::{CsmSimOptions, DriveWaveform};
-use mcsm_net::{NetRef, Netlist};
-use mcsm_netsim::{simulate_netlist, topological_levels, NetsimError, NetsimOptions, NetsimResult};
+use mcsm_net::{balanced_tree, nand_chain, random_dag, DagConfig, NetRef, Netlist, NetlistBuilder};
+use mcsm_netsim::{simulate_netlist, NetsimError, NetsimOptions, NetsimResult};
 use mcsm_num::json::JsonValue;
 use mcsm_num::par;
 use mcsm_sta::delaycalc::{DelayBackend, DelayCalculator};
@@ -34,8 +33,8 @@ use std::time::Instant;
 pub struct NetsimSweepOptions {
     /// Worker threads for the parallel passes (`0` = auto).
     pub threads: usize,
-    /// Gate budgets, one sweep point per entry (shared with the STA
-    /// `netlist_sweep` so the two experiments time the *same* circuits).
+    /// Gate budgets, one sweep point per entry (see [`sweep_netlists`]; the
+    /// `server` and `sim_hotpath` experiments time the same circuits).
     pub sizes: Vec<usize>,
     /// Characterization grids for the model library.
     pub config: CharacterizationConfig,
@@ -69,6 +68,78 @@ pub fn model_families() -> Vec<(&'static str, DelayBackend)> {
         ("baseline_mis", DelayBackend::BaselineMis),
         ("complete_mcsm", DelayBackend::CompleteMcsm),
     ]
+}
+
+/// The generated circuits of one sweep: `(topology, netlist)` pairs in
+/// family-then-size order. Deterministic — DAG seeds derive from the gate
+/// budget, so equal options give equal circuits.
+pub fn sweep_netlists(sizes: &[usize]) -> Vec<(String, Netlist)> {
+    let mut netlists = Vec::new();
+    for &size in sizes {
+        netlists.push(("chain".to_string(), nand_chain(size.max(1))));
+    }
+    for &size in sizes {
+        // Nearest power-of-two reduction tree under the budget.
+        let levels = ((size.max(2) + 1) as f64).log2().floor() as usize;
+        netlists.push((
+            "tree".to_string(),
+            balanced_tree(levels.max(1), CellKind::Nor2),
+        ));
+    }
+    for &size in sizes {
+        let config = DagConfig::with_gate_budget(size.max(1), 0xC17 + size as u64);
+        netlists.push(("dag".to_string(), random_dag(&config)));
+    }
+    netlists
+}
+
+/// A synthetic layered netlist: `width` NOR2 gates over paired primary
+/// inputs, then `layers - 1` further layers alternating inverters and
+/// neighbor-combining NAND2s. Every layer is `width` gates wide, so
+/// level-parallel simulation has real fan-out to chew on.
+///
+/// # Errors
+///
+/// Returns a [`mcsm_net::NetlistError`] if the requested shape is degenerate
+/// (zero width or layers).
+pub fn layered_netlist(width: usize, layers: usize) -> Result<Netlist, mcsm_net::NetlistError> {
+    let mut builder = NetlistBuilder::new(&format!("layered_{width}x{layers}"));
+    let mut current: Vec<String> = Vec::with_capacity(width);
+    for i in 0..width {
+        let a = format!("in{i}a");
+        let b = format!("in{i}b");
+        builder = builder.primary_input(&a).primary_input(&b);
+        let out = format!("l0_{i}");
+        builder = builder.gate(&format!("u0_{i}"), CellKind::Nor2, &[&a, &b], &out);
+        current.push(out);
+    }
+    for layer in 1..layers {
+        let mut next = Vec::with_capacity(width);
+        for i in 0..width {
+            let out = format!("l{layer}_{i}");
+            if layer % 2 == 1 {
+                builder = builder.gate(
+                    &format!("u{layer}_{i}"),
+                    CellKind::Inverter,
+                    &[&current[i]],
+                    &out,
+                );
+            } else {
+                builder = builder.gate(
+                    &format!("u{layer}_{i}"),
+                    CellKind::Nand2,
+                    &[&current[i], &current[(i + 1) % width]],
+                    &out,
+                );
+            }
+            next.push(out);
+        }
+        current = next;
+    }
+    for net in &current {
+        builder = builder.primary_output(net);
+    }
+    builder.build()
 }
 
 /// Primary-input drives for a netsim run: staggered falling ramps on every
@@ -295,10 +366,10 @@ fn time_case(
     options: &NetsimSweepOptions,
 ) -> Result<NetsimCase, NetsimError> {
     let vdd = library.vdd();
-    let levels = topological_levels(netlist).level_count();
+    let levels = netlist.levels().level_count();
     let drives = netsim_input_drives(netlist, vdd, sparse);
     // The simulated window must cover the accumulated path delay, so it
-    // scales with the circuit depth (same rule as the STA sweep).
+    // scales with the circuit depth.
     let window = 2e-9 + 0.4e-9 * levels as f64;
     let calculator = DelayCalculator::new(backend, CsmSimOptions::new(window, options.dt), vdd);
     let netsim_options = NetsimOptions::new(calculator, 2e-15);
@@ -384,6 +455,30 @@ mod tests {
         );
         let reparsed = JsonValue::parse(&json.to_string_pretty()).unwrap();
         assert_eq!(reparsed, json);
+    }
+
+    #[test]
+    fn sweep_netlists_cover_every_family_at_every_size() {
+        let netlists = sweep_netlists(&[8, 16]);
+        assert_eq!(netlists.len(), 6);
+        assert_eq!(netlists.iter().filter(|(t, _)| t == "chain").count(), 2);
+        // Deterministic: a second call builds identical circuits.
+        let again = sweep_netlists(&[8, 16]);
+        for ((ta, na), (tb, nb)) in netlists.iter().zip(&again) {
+            assert_eq!(ta, tb);
+            assert_eq!(na, nb);
+        }
+    }
+
+    #[test]
+    fn layered_netlist_has_the_advertised_shape() {
+        let netlist = layered_netlist(4, 3).unwrap();
+        assert_eq!(netlist.gate_count(), 12);
+        assert_eq!(netlist.primary_inputs().len(), 8);
+        assert_eq!(netlist.primary_outputs().len(), 4);
+        let levels = netlist.levels();
+        assert_eq!(levels.level_count(), 3);
+        assert!(levels.iter().all(|level| level.len() == 4));
     }
 
     #[test]

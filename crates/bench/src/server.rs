@@ -23,13 +23,12 @@
 //! logged gate recoveries, and settled to bits identical to a clean session
 //! — the robustness contract the hardened server ships with.
 
-use crate::netlist_sweep::sweep_netlists;
+use crate::netsim::sweep_netlists;
 use crate::report::fast_or;
 use mcsm_cells::cell::CellKind;
 use mcsm_cells::tech::Technology;
 use mcsm_core::config::CharacterizationConfig;
 use mcsm_net::Netlist;
-use mcsm_netsim::topological_levels;
 use mcsm_num::fault::{site, FaultPlan};
 use mcsm_num::json::JsonValue;
 use mcsm_num::par;
@@ -44,8 +43,8 @@ use std::time::Instant;
 pub struct ServerSweepOptions {
     /// Worker threads of the resident session (`0` = auto).
     pub threads: usize,
-    /// Gate budgets, one sweep point per entry (shared with the netsim and
-    /// STA sweeps so all three experiments time the *same* circuits).
+    /// Gate budgets, one sweep point per entry (shared with the netsim sweep
+    /// so both experiments time the *same* circuits).
     pub sizes: Vec<usize>,
     /// Characterization grids for the model library.
     pub config: CharacterizationConfig,
@@ -231,7 +230,7 @@ fn expect_result(response: &str) -> JsonValue {
 /// The setup request lines for one circuit: load the netlist inline (with a
 /// depth-scaled window) and put staggered falling ramps on every input.
 fn setup_lines(netlist: &Netlist, dt: f64) -> Vec<String> {
-    let levels = topological_levels(netlist).level_count();
+    let levels = netlist.levels().level_count();
     let window = 2e-9 + 0.4e-9 * levels as f64;
     let load = JsonValue::Object(vec![
         ("netlist".into(), netlist.to_json_value()),

@@ -4,7 +4,7 @@
 //! evaluations — every explicit/predictor–corrector sub-step (paper
 //! Eqs. (4)–(5)) queries the current, Miller-cap and internal-cap tables. This
 //! experiment replays every gate of the generated chain/tree/dag netlists
-//! (`mcsm-net` generators, the same circuits `netlist_sweep` times) through
+//! (`mcsm-net` generators, the same circuits the `netsim` sweep times) through
 //! the generic simulation engine **twice per model family**: once on the
 //! cursor-accelerated allocation-free fast path ([`EvalMode::Fast`]) and once
 //! on the retained allocating `LutNd::eval` reference path
@@ -15,7 +15,7 @@
 //!
 //! Honors `MCSM_BENCH_FAST=1` (see [`crate::report::fast_mode`]).
 
-use crate::netlist_sweep::sweep_netlists;
+use crate::netsim::sweep_netlists;
 use crate::report::fast_or;
 use mcsm_cells::cell::CellKind;
 use mcsm_cells::tech::Technology;
@@ -35,7 +35,7 @@ pub const HOTPATH_FAMILIES: [&str; 3] = ["sis", "baseline_mis", "complete_mcsm"]
 #[derive(Debug, Clone)]
 pub struct SimHotpathOptions {
     /// Gate budgets for the generated circuits (one chain/tree/dag triple per
-    /// entry, shared with the `netlist_sweep` generators).
+    /// entry, shared with the `netsim` sweep's generators).
     pub sizes: Vec<usize>,
     /// Characterization grids for the model library.
     pub config: CharacterizationConfig,

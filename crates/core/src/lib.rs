@@ -99,9 +99,5 @@ pub use error::CsmError;
 pub use eval::{EvalMode, EvalState};
 pub use model::{CellModel, McsmModel, MisBaselineModel, SisModel};
 pub use selective::{ModelChoice, SelectiveModel, SelectivePolicy};
-pub use sim::{
-    simulate, CsmIntegration, CsmSimOptions, DriveWaveform, McsmSimResult, SimResult, Simulation,
-};
-#[allow(deprecated)]
-pub use sim::{simulate_mcsm, simulate_mis_baseline, simulate_sis};
+pub use sim::{simulate, CsmIntegration, CsmSimOptions, DriveWaveform, SimResult, Simulation};
 pub use store::{ModelBackend, ModelStore};

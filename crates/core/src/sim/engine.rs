@@ -41,7 +41,7 @@
 use super::drive::DriveWaveform;
 use crate::error::CsmError;
 use crate::eval::{EvalMode, EvalState};
-use crate::model::{CellModel, McsmModel, MisBaselineModel, SisModel};
+use crate::model::CellModel;
 use mcsm_spice::waveform::Waveform;
 use std::sync::Arc;
 
@@ -130,17 +130,6 @@ impl SimResult {
     pub fn internal(&self) -> Option<&Waveform> {
         self.state_traces.first()
     }
-}
-
-/// Result of an MCSM simulation: the output waveform and the internal-node
-/// waveform the model tracked alongside it. Kept for the deprecated
-/// [`simulate_mcsm`] wrapper; new code receives [`SimResult`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct McsmSimResult {
-    /// Output voltage waveform.
-    pub output: Waveform,
-    /// Internal (stack) node voltage waveform.
-    pub internal: Waveform,
 }
 
 /// Clamp helper: keeps the state inside the characterized voltage range plus a
@@ -536,105 +525,13 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// Simulates the complete MCSM (paper Eqs. (4)–(5)).
-///
-/// # Errors
-///
-/// Returns [`CsmError::InvalidParameter`] for invalid options or a negative load.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Simulation::of(&model).inputs(..).load(..).run()` — this wrapper delegates to it"
-)]
-pub fn simulate_mcsm(
-    model: &McsmModel,
-    a: &DriveWaveform,
-    b: &DriveWaveform,
-    load_capacitance: f64,
-    v_out_initial: f64,
-    v_internal_initial: Option<f64>,
-    options: &CsmSimOptions,
-) -> Result<McsmSimResult, CsmError> {
-    let inputs = [a.clone(), b.clone()];
-    let mut sim = Simulation::of(model)
-        .inputs(&inputs)
-        .load(load_capacitance)
-        .initial_output(v_out_initial)
-        .options(options.clone());
-    if let Some(v_n) = v_internal_initial {
-        sim = sim.initial_state(&[v_n]);
-    }
-    let result = sim.run()?;
-    let internal = result
-        .state_traces
-        .into_iter()
-        .next()
-        .expect("the MCSM has one internal node");
-    Ok(McsmSimResult {
-        output: result.output,
-        internal,
-    })
-}
-
-/// Simulates the baseline MIS model (no internal node, Section 3.1).
-///
-/// # Errors
-///
-/// Returns [`CsmError::InvalidParameter`] for invalid options or a negative load.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Simulation::of(&model).inputs(..).load(..).run()` — this wrapper delegates to it"
-)]
-pub fn simulate_mis_baseline(
-    model: &MisBaselineModel,
-    a: &DriveWaveform,
-    b: &DriveWaveform,
-    load_capacitance: f64,
-    v_out_initial: f64,
-    options: &CsmSimOptions,
-) -> Result<Waveform, CsmError> {
-    let inputs = [a.clone(), b.clone()];
-    Ok(Simulation::of(model)
-        .inputs(&inputs)
-        .load(load_capacitance)
-        .initial_output(v_out_initial)
-        .options(options.clone())
-        .run()?
-        .output)
-}
-
-/// Simulates the single-input-switching model (Section 2.1): only `input` drives
-/// the cell; all other inputs are assumed static at their non-controlling value
-/// (that assumption is baked into the SIS tables).
-///
-/// # Errors
-///
-/// Returns [`CsmError::InvalidParameter`] for invalid options or a negative load.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Simulation::of(&model).input(..).load(..).run()` — this wrapper delegates to it"
-)]
-pub fn simulate_sis(
-    model: &SisModel,
-    input: &DriveWaveform,
-    load_capacitance: f64,
-    v_out_initial: f64,
-    options: &CsmSimOptions,
-) -> Result<Waveform, CsmError> {
-    Ok(Simulation::of(model)
-        .input(input.clone())
-        .load(load_capacitance)
-        .initial_output(v_out_initial)
-        .options(options.clone())
-        .run()?
-        .output)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::mcsm::synthetic_model;
     use crate::model::mis_baseline::synthetic_baseline;
     use crate::model::sis::synthetic_sis;
+    use crate::model::McsmModel;
 
     fn mcsm_sim<'a>(
         model: &'a McsmModel,
@@ -843,46 +740,5 @@ mod tests {
         let t_light = light.output.crossing(0.6, true).unwrap();
         let t_heavy = heavy.output.crossing(0.6, true).unwrap();
         assert!(t_heavy > t_light);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_builder_bit_for_bit() {
-        // The wrappers delegate to the same engine; the waveforms must be
-        // identical to the last bit, not merely close.
-        let mcsm = synthetic_model();
-        let baseline = synthetic_baseline();
-        let sis = synthetic_sis();
-        let [a, b] = falling_pair();
-        let opts = CsmSimOptions::new(2e-9, 0.5e-12);
-
-        let wrapper = simulate_mcsm(&mcsm, &a, &b, 2e-15, 0.0, Some(0.4), &opts).unwrap();
-        let built = mcsm_sim(&mcsm, &[a.clone(), b.clone()], 2e-15, &opts)
-            .initial_state(&[0.4])
-            .run()
-            .unwrap();
-        assert_eq!(wrapper.output, built.output);
-        assert_eq!(&wrapper.internal, built.internal().unwrap());
-
-        let wrapper = simulate_mis_baseline(&baseline, &a, &b, 2e-15, 0.0, &opts).unwrap();
-        let built = Simulation::of(&baseline)
-            .inputs(&[a.clone(), b.clone()])
-            .load(2e-15)
-            .initial_output(0.0)
-            .options(opts.clone())
-            .run()
-            .unwrap();
-        assert_eq!(wrapper, built.output);
-
-        let rise = DriveWaveform::rising_ramp(1.2, 0.2e-9, 50e-12);
-        let wrapper = simulate_sis(&sis, &rise, 2e-15, 1.2, &opts).unwrap();
-        let built = Simulation::of(&sis)
-            .input(rise)
-            .load(2e-15)
-            .initial_output(1.2)
-            .options(opts)
-            .run()
-            .unwrap();
-        assert_eq!(wrapper, built.output);
     }
 }

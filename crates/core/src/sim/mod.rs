@@ -2,13 +2,10 @@
 //! output (and internal-node) waveforms.
 //!
 //! The [`Simulation`] builder over the generic [`engine::simulate`] loop is the
-//! runtime API; the free `simulate_*` functions are deprecated wrappers kept
-//! for one release so downstream call sites can migrate.
+//! runtime API.
 
 pub mod drive;
 pub mod engine;
 
 pub use drive::DriveWaveform;
-pub use engine::{simulate, CsmIntegration, CsmSimOptions, McsmSimResult, SimResult, Simulation};
-#[allow(deprecated)]
-pub use engine::{simulate_mcsm, simulate_mis_baseline, simulate_sis};
+pub use engine::{simulate, CsmIntegration, CsmSimOptions, SimResult, Simulation};

@@ -486,8 +486,7 @@ mod tests {
         assert_eq!(tree.primary_inputs().len(), 8);
         assert_eq!(tree.gate_count(), 7);
         assert_eq!(tree.primary_outputs().len(), 1);
-        let g = tree.to_gate_graph().unwrap();
-        assert_eq!(g.topological_levels().unwrap().len(), 3);
+        assert_eq!(tree.levels().level_count(), 3);
     }
 
     #[test]
@@ -542,15 +541,14 @@ mod tests {
                 }
             }
         }
-        // The DAG lowers and levelizes: depth equals the configured levels.
+        // The DAG levelizes to exactly the configured depth.
         let config = DagConfig {
             levels: 6,
             width: 8,
             max_fanout: 3,
             seed: 7,
         };
-        let g = random_dag(&config).to_gate_graph().unwrap();
-        assert_eq!(g.topological_levels().unwrap().len(), config.levels);
+        assert_eq!(random_dag(&config).levels().level_count(), config.levels);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Unified netlist IR: one circuit description for simulation, STA and SPICE.
+//! Unified netlist IR: one circuit description for simulation, timing and
+//! SPICE.
 //!
 //! The paper's whole point is comparing the *same circuit* across model
 //! fidelities (SIS vs MIS vs complete/selective MCSM vs transistor-level
@@ -10,16 +11,16 @@
 //!   [`mcsm_cells::cell::CellKind`], explicit per-net loads, and JSON
 //!   round-trips through `mcsm_num::json` ([`Netlist::to_json_string`] /
 //!   [`Netlist::from_json_str`]);
-//! * lowerings ([`lower`]) — [`Netlist::to_gate_graph`] for (level-parallel)
-//!   STA, [`Netlist::to_spice_circuit`] for transistor-level cross-checks, and
-//!   [`Netlist::simulate_gate`] to replay single gates through the generic
-//!   `CellModel` engine;
+//! * lowerings ([`lower`]) — [`Netlist::to_spice_circuit`] for
+//!   transistor-level cross-checks and [`Netlist::simulate_gate`] to replay
+//!   single gates through the generic `CellModel` engine (the netlist
+//!   simulator, `mcsm-netsim`, consumes a [`Netlist`] as is);
 //! * [`generators`] — seeded synthetic workloads (inverter/NAND chains,
 //!   balanced trees, random leveled DAGs, scale-free preferential-attachment
 //!   DAGs for the million-gate tier, the ISCAS-85 c17) parameterized by size,
 //!   deterministic per [`mcsm_num::testrand::TestRng`] seed.
 //!
-//! # Example: one netlist, three backends
+//! # Example: one netlist, several consumers
 //!
 //! ```no_run
 //! use mcsm_cells::cell::CellKind;
@@ -36,10 +37,10 @@
 //!     .build()?;
 //!
 //! let tech = Technology::cmos_130nm();
-//! let graph = netlist.to_gate_graph()?; // feed mcsm_sta::arrival::propagate
+//! let levels = netlist.levels(); // the schedule mcsm_netsim::simulate_netlist runs
 //! let spice = netlist.to_spice_circuit(&tech)?; // feed mcsm_spice::analysis
 //! let json = netlist.to_json_string(); // persist / exchange
-//! # let _ = (graph, spice, json);
+//! # let _ = (levels, spice, json);
 //! # Ok(())
 //! # }
 //! ```
@@ -55,4 +56,4 @@ pub use generators::{
     DagConfig, ScaleFreeConfig,
 };
 pub use lower::SpiceNetlist;
-pub use netlist::{GateInst, GateRef, GateView, LevelSchedule, NetRef, Netlist, NetlistBuilder};
+pub use netlist::{GateRef, GateView, LevelSchedule, NetRef, Netlist, NetlistBuilder};

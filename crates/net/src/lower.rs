@@ -1,21 +1,14 @@
-//! Lowering a [`Netlist`] into each backend's native form.
+//! Lowering a [`Netlist`] into the forms other engines consume.
 //!
-//! One netlist value feeds all three engines of the workspace:
+//! The netlist simulator (`mcsm-netsim`) reads a [`Netlist`] directly; the
+//! two lowerings here cover the rest of the workspace:
 //!
-//! * [`Netlist::to_gate_graph`] — the STA form ([`mcsm_sta::GateGraph`]),
-//!   preserving net order, primary I/O and explicit loads, so
-//!   [`mcsm_sta::arrival::propagate`] (including its level-parallel mode) runs
-//!   unchanged;
 //! * [`Netlist::to_spice_circuit`] — the transistor-level form
 //!   ([`mcsm_spice::circuit::Circuit`]), with every gate expanded through its
 //!   [`mcsm_cells::cell::CellTemplate`], for golden-reference cross-checks;
 //! * [`Netlist::simulate_gate`] — replays one gate of the netlist through the
 //!   generic [`mcsm_core::model::CellModel`] engine, resolving whichever model
 //!   family a [`ModelBackend`] requests.
-//!
-//! Because the STA lowering is a plain structural mapping, a `Netlist`-built
-//! graph is *equal in every observable* to a hand-built one — timing results
-//! are bit-identical (pinned by `tests/netlist_ir.rs`).
 
 use crate::error::NetlistError;
 use crate::netlist::{GateRef, NetRef, Netlist};
@@ -25,8 +18,6 @@ use mcsm_core::sim::{simulate, CsmSimOptions, DriveWaveform, SimResult};
 use mcsm_core::store::{ModelBackend, ModelStore};
 use mcsm_spice::circuit::{Circuit, ElementId, NodeId};
 use mcsm_spice::source::SourceWaveform;
-use mcsm_sta::graph::GateGraph;
-use mcsm_sta::StaError;
 
 /// The SPICE lowering of a [`Netlist`]: the expanded circuit plus the handles
 /// a testbench needs to drive and probe it.
@@ -46,46 +37,6 @@ pub struct SpiceNetlist {
 }
 
 impl Netlist {
-    /// Lowers the netlist to the STA crate's [`GateGraph`].
-    ///
-    /// Nets are created in [`NetRef::index`] order (so STA `NetId` indices
-    /// equal netlist `NetRef` indices), primary I/O markers carry over, gates
-    /// are added in insertion order, and explicit per-net loads become
-    /// [`GateGraph::set_extra_load`] entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaError::InvalidGraph`] only if the graph-level invariants
-    /// are violated — impossible for a validated `Netlist`, but propagated
-    /// rather than unwrapped.
-    pub fn to_gate_graph(&self) -> Result<GateGraph, StaError> {
-        let mut graph = GateGraph::new();
-        let nets: Vec<_> = (0..self.net_count())
-            .map(|i| graph.net(self.net_name(NetRef::from_index(i))))
-            .collect();
-        for &pi in self.primary_inputs() {
-            graph.mark_primary_input(nets[pi.index()]);
-        }
-        for &po in self.primary_outputs() {
-            graph.mark_primary_output(nets[po.index()]);
-        }
-        // One scratch buffer across all gates keeps the lowering loop
-        // allocation-free at million-gate scale.
-        let mut inputs: Vec<mcsm_sta::graph::NetId> = Vec::with_capacity(4);
-        for gate in self.iter_gates() {
-            inputs.clear();
-            inputs.extend(gate.inputs.iter().map(|n| nets[n.index()]));
-            graph.add_gate(gate.name, gate.kind, &inputs, nets[gate.output.index()])?;
-        }
-        for (idx, &net) in nets.iter().enumerate() {
-            let load = self.net_load(NetRef::from_index(idx));
-            if load != 0.0 {
-                graph.set_extra_load(net, load);
-            }
-        }
-        Ok(graph)
-    }
-
     /// Lowers the netlist to a transistor-level [`Circuit`] in the given
     /// technology.
     ///
@@ -152,9 +103,9 @@ impl Netlist {
     /// `backend` picks the model family out of `store` exactly as
     /// [`ModelStore::resolve`] would; the initial output level is derived from
     /// the gate's Boolean function at the initial input logic values (against
-    /// the resolved model's own supply voltage) — the same convention the STA
-    /// delay calculator uses, which is what makes a netlist gate replay
-    /// bit-identical to the corresponding STA evaluation.
+    /// the resolved model's own supply voltage) — the same convention
+    /// `mcsm_sta::DelayCalculator` uses, which is what makes a netlist gate
+    /// replay bit-identical to the corresponding delay-calculator solve.
     ///
     /// For [`ModelBackend::Sis`] the resolved model has one pin; the waveform
     /// of the requested pin drives it. All other backends see the first
@@ -237,26 +188,6 @@ mod tests {
             .primary_output("out")
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn gate_graph_lowering_preserves_structure() {
-        let n = chain();
-        let g = n.to_gate_graph().unwrap();
-        assert_eq!(g.net_count(), n.net_count());
-        assert_eq!(g.gates().len(), n.gate_count());
-        assert_eq!(g.primary_inputs().len(), 2);
-        assert_eq!(g.primary_outputs().len(), 1);
-        // Net indices survive the lowering.
-        for i in 0..n.net_count() {
-            let name = n.net_name(NetRef::from_index(i));
-            assert_eq!(g.find_net(name).unwrap().index(), i);
-        }
-        // Explicit loads carry over.
-        let out = g.find_net("out").unwrap();
-        assert_eq!(g.extra_load_of(out), 2e-15);
-        // The lowered graph is immediately propagatable (levels exist).
-        assert_eq!(g.topological_levels().unwrap().len(), 2);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The backend-neutral netlist IR and its fluent builder.
 //!
 //! A [`Netlist`] is the *one* circuit description every backend consumes: the
-//! STA layer lowers it to a `mcsm_sta::GateGraph`, the SPICE layer expands it
-//! transistor-by-transistor, and single gates can be replayed through the
-//! generic `CellModel` engine (see [`crate::lower`]). Construction goes through
+//! netlist simulator (`mcsm-netsim`) times it gate by gate, the SPICE layer
+//! expands it transistor-by-transistor, and single gates can be replayed
+//! through the generic `CellModel` engine (see [`crate::lower`]). Construction goes through
 //! [`NetlistBuilder`], which defers all checking to [`NetlistBuilder::build`]
 //! so circuits can be described fluently; `build` validates the whole circuit
 //! (pin counts, drivers, dangling nets, combinational loops) and returns a
@@ -85,10 +85,8 @@ impl GateRef {
     }
 }
 
-/// Borrowed view of one gate instance, assembled from the netlist arenas.
-///
-/// This is the allocation-free replacement for the owned [`GateInst`]: `name`
-/// and `inputs` borrow straight from the netlist's flat pools.
+/// Borrowed view of one gate instance, assembled from the netlist arenas:
+/// `name` and `inputs` borrow straight from the netlist's flat pools.
 #[derive(Debug, Clone, Copy)]
 pub struct GateView<'a> {
     /// Instance name, unique within the netlist.
@@ -97,22 +95,6 @@ pub struct GateView<'a> {
     pub kind: CellKind,
     /// Input nets in pin order (`A`, `B`, …).
     pub inputs: &'a [NetRef],
-    /// Output net.
-    pub output: NetRef,
-}
-
-/// One gate instance of a [`Netlist`], in owned form.
-///
-/// Only produced by the deprecated [`Netlist::gates`]; new code should use
-/// [`GateView`] via [`Netlist::gate`] / [`Netlist::iter_gates`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct GateInst {
-    /// Instance name, unique within the netlist.
-    pub name: String,
-    /// Cell topology.
-    pub kind: CellKind,
-    /// Input nets in pin order (`A`, `B`, …).
-    pub inputs: Vec<NetRef>,
     /// Output net.
     pub output: NetRef,
 }
@@ -204,22 +186,6 @@ impl Netlist {
     /// Number of gate instances.
     pub fn gate_count(&self) -> usize {
         self.gate_names.len()
-    }
-
-    /// All gates in insertion order, materialized into owned structs.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec<GateInst> on every call — use `iter_gates` / `gate` views"
-    )]
-    pub fn gates(&self) -> Vec<GateInst> {
-        self.iter_gates()
-            .map(|g| GateInst {
-                name: g.name.to_string(),
-                kind: g.kind,
-                inputs: g.inputs.to_vec(),
-                output: g.output,
-            })
-            .collect()
     }
 
     /// Iterates over all gates in insertion order, as borrowed views.
@@ -1142,20 +1108,6 @@ mod tests {
                     .iter()
                     .any(|&(g, p)| g == gate && p as usize == pin));
             }
-        }
-    }
-
-    #[test]
-    fn materialized_gates_match_the_views() {
-        let n = chain();
-        #[allow(deprecated)]
-        let owned = n.gates();
-        assert_eq!(owned.len(), n.gate_count());
-        for (inst, view) in owned.iter().zip(n.iter_gates()) {
-            assert_eq!(inst.name, view.name);
-            assert_eq!(inst.kind, view.kind);
-            assert_eq!(inst.inputs, view.inputs);
-            assert_eq!(inst.output, view.output);
         }
     }
 

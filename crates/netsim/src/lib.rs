@@ -3,17 +3,19 @@
 //! The paper's pitch is that characterized current-source models replace
 //! transistor-level SPICE for *circuit-level* analysis. The other crates of
 //! this workspace provide the pieces — per-gate model solves (`mcsm-core`),
-//! waveform-based timing propagation (`mcsm-sta`), the backend-neutral
-//! circuit IR (`mcsm-net`) and the golden-reference SPICE engine
-//! (`mcsm-spice`) — and this crate assembles them into the missing workload:
-//! a **full-netlist waveform-accurate simulator**. Given a
-//! [`Netlist`](mcsm_net::Netlist), a characterized
-//! [`ModelLibrary`](mcsm_sta::models::ModelLibrary) and a drive waveform per
-//! primary input, [`simulate_netlist`] produces the voltage waveform on
-//! *every* net.
+//! per-gate delay calculation (`mcsm-sta`), the backend-neutral circuit IR
+//! (`mcsm-net`) and the golden-reference SPICE engine (`mcsm-spice`) — and
+//! this crate assembles them into the missing workload: a **full-netlist
+//! waveform-accurate simulator**. Given a [`Netlist`](mcsm_net::Netlist), a
+//! characterized [`ModelLibrary`](mcsm_sta::models::ModelLibrary) and a drive
+//! waveform per primary input, [`simulate_netlist`] produces the voltage
+//! waveform on *every* net.
 //!
-//! Three properties distinguish it from the STA layer's propagate-everything
-//! flow:
+//! It is also the workspace's one timing engine: arrival times, slews and
+//! waveforms are read off the [`NetsimResult`]
+//! ([`NetsimResult::arrival_time`], [`NetsimResult::arrival_any`],
+//! [`NetsimResult::slew`], [`NetsimResult::waveform`]). Three properties
+//! shape it:
 //!
 //! * **Event-driven** — gates whose inputs never leave the rails are resolved
 //!   to their Boolean DC level without entering the numerical engine, and the
@@ -92,7 +94,7 @@ pub mod sim;
 pub use error::NetsimError;
 pub use schedule::{
     cone_of_influence, effective_load, seeds_for_drive_change, seeds_for_gate_edit,
-    seeds_for_load_change, topological_levels,
+    seeds_for_load_change,
 };
 pub use sim::{
     resimulate_netlist, simulate_netlist, simulate_netlist_cached, NetsimOptions, NetsimResult,

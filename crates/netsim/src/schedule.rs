@@ -4,34 +4,21 @@
 //! The simulator processes gates in *topological levels*: level `L` holds
 //! every gate whose longest driver chain from a primary input has `L` gates
 //! before it, so all gates of one level are mutually independent and can be
-//! solved concurrently once every earlier level has committed. This is the
-//! same schedule shape the level-parallel STA uses; here it is delegated to
-//! the netlist's own single-pass [`Netlist::levels`] (validation already
-//! guarantees a DAG), keeping the simulator free of the STA-internal graph
-//! form and of any per-level allocation — a [`LevelSchedule`] is two flat
-//! arrays regardless of depth.
+//! solved concurrently once every earlier level has committed. The schedule
+//! is the netlist's own single-pass [`Netlist::levels`] (validation already
+//! guarantees a DAG), free of any per-level allocation — a
+//! [`LevelSchedule`](mcsm_net::LevelSchedule) is two flat arrays regardless
+//! of depth.
 //!
 //! The scheduler also owns the *effective load* model: the lumped capacitance
 //! a driver sees is the sum of the characterized input-pin capacitances of
 //! every fanout pin, plus the netlist's explicit per-net extra load, plus the
 //! external load on primary outputs.
 
-use mcsm_net::{GateRef, LevelSchedule, NetRef, Netlist};
+use mcsm_net::{GateRef, NetRef, Netlist};
 use mcsm_sta::delaycalc::DelayCache;
 use mcsm_sta::models::ModelLibrary;
 use mcsm_sta::StaError;
-
-/// Groups the gates of a netlist into topological levels: every gate appears
-/// exactly once, all of a gate's driver gates appear in strictly earlier
-/// levels, and gates within a level are ordered by insertion index (so the
-/// schedule is deterministic and the per-level parallel fan-out is
-/// bit-identical to a sequential sweep).
-///
-/// Thin wrapper over [`Netlist::levels`], kept so simulator code and tests
-/// have a crate-local name for the schedule.
-pub fn topological_levels(netlist: &Netlist) -> LevelSchedule {
-    netlist.levels()
-}
 
 /// The downstream cone of influence of a set of seed gates: every gate whose
 /// output can be affected by re-solving the seeds — the seeds themselves plus
@@ -139,7 +126,7 @@ mod tests {
     #[test]
     fn levels_respect_driver_ordering_on_c17() {
         let netlist = c17();
-        let levels = topological_levels(&netlist);
+        let levels = netlist.levels();
         assert_eq!(levels.gate_count(), 6);
         // Every gate's drivers sit in strictly earlier levels.
         let mut level_of = vec![usize::MAX; netlist.gate_count()];
@@ -155,12 +142,8 @@ mod tests {
                 }
             }
         }
-        // The schedule depth matches the STA lowering's.
-        let graph = netlist.to_gate_graph().unwrap();
-        assert_eq!(
-            levels.level_count(),
-            graph.topological_levels().unwrap().len()
-        );
+        // c17's longest input-to-output path is three NAND2s deep.
+        assert_eq!(levels.level_count(), 3);
     }
 
     #[test]
@@ -173,7 +156,7 @@ mod tests {
             .primary_output("out")
             .build()
             .unwrap();
-        let levels = topological_levels(&netlist);
+        let levels = netlist.levels();
         assert_eq!(levels.level_count(), 2);
         assert_eq!(netlist.gate(levels.gates(0)[0]).name, "u_early");
         assert_eq!(netlist.gate(levels.gates(1)[0]).name, "u_late");
@@ -194,7 +177,7 @@ mod tests {
             .primary_output(&format!("n{stages}"))
             .build()
             .unwrap();
-        let levels = topological_levels(&chain);
+        let levels = chain.levels();
         assert_eq!(levels.level_count(), stages);
         for (level, gates) in levels.iter().enumerate() {
             assert_eq!(gates.len(), 1);

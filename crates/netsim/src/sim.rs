@@ -12,11 +12,9 @@
 //! window is never handed to the numerical engine — its output is the DC
 //! level implied by its Boolean function, and that quiescence propagates.
 //! On circuits with sparse input activity most gates are skipped entirely,
-//! which is where the netlist simulator's throughput advantage over
-//! propagate-everything timing comes from. Gates that *do* see an event are
-//! solved level-parallel over [`mcsm_num::par`] with the same determinism
-//! contract as the STA layer: results are bit-identical at every thread
-//! count.
+//! which is where the netlist simulator's throughput comes from. Gates that
+//! *do* see an event are solved level-parallel over [`mcsm_num::par`]:
+//! results are bit-identical at every thread count.
 //!
 //! # Streaming waveform memory
 //!
@@ -35,7 +33,7 @@
 //! to a non-streaming run at every thread count (with `thin_eps == 0`).
 
 use crate::error::NetsimError;
-use crate::schedule::{cone_of_influence, effective_load, topological_levels};
+use crate::schedule::{cone_of_influence, effective_load};
 use mcsm_core::eval::EvalMode;
 use mcsm_core::sim::DriveWaveform;
 use mcsm_net::{GateRef, NetRef, Netlist};
@@ -585,10 +583,8 @@ impl NetsimResult {
     }
 
     /// The earliest 50 % crossing in either direction, with the direction
-    /// that produced it — the symmetric counterpart of
-    /// `mcsm_sta::arrival::TimingResult::arrival_any`, sharing its tie-break
-    /// through [`mcsm_spice::waveform::earliest_crossing`] so netsim and STA
-    /// arrivals compare without guessing edge polarities.
+    /// that produced it (tie-break: [`mcsm_spice::waveform::earliest_crossing`])
+    /// — the form for comparing arrivals without guessing edge polarities.
     pub fn arrival_any(&self, net: NetRef) -> Option<(f64, bool)> {
         mcsm_spice::waveform::earliest_crossing(
             self.arrival_time(net, true),
@@ -1052,7 +1048,7 @@ fn run_levels(
         store.commit_input(net, drive, t_stop, options.event_threshold)?;
     }
 
-    let schedule = topological_levels(netlist);
+    let schedule = netlist.levels();
     // Per-level scratch, reused across levels so the sequential gather phase
     // stays allocation-free once the deepest level has been seen.
     let mut level_inputs: Vec<DriveWaveform> = Vec::new();

@@ -1,13 +1,8 @@
 //! Time-integration helpers.
 //!
-//! Two integration styles appear in the workspace:
-//!
-//! * The SPICE transient engine replaces each capacitor with a *companion model*
-//!   (a conductance in parallel with a current source) derived from backward
-//!   Euler or the trapezoidal rule — [`CompanionMethod`] and [`CapacitorCompanion`].
-//! * The CSM waveform engine advances the paper's Eqs. (4)–(5) explicitly;
-//!   [`explicit_step`] is that one-liner given a name so it can be documented and
-//!   tested once.
+//! The SPICE transient engine replaces each capacitor with a *companion model*
+//! (a conductance in parallel with a current source) derived from backward
+//! Euler or the trapezoidal rule — [`CompanionMethod`] and [`CapacitorCompanion`].
 
 /// Integration method used to build capacitor companion models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -73,39 +68,6 @@ impl CapacitorCompanion {
     }
 }
 
-/// One explicit (forward-Euler) update `x_{k+1} = x_k + dt * dxdt`.
-///
-/// This is the update rule of the paper's Eqs. (4) and (5): the new output (or
-/// internal-node) voltage is the previous one plus the net capacitor-charging
-/// current divided by the effective capacitance, times the step.
-#[inline]
-pub fn explicit_step(x_prev: f64, dxdt: f64, dt: f64) -> f64 {
-    x_prev + dt * dxdt
-}
-
-/// Richardson-style local truncation error estimate between a full step and two
-/// half steps; used by the adaptive transient stepping to decide refinement.
-#[inline]
-pub fn truncation_error(full_step: f64, two_half_steps: f64) -> f64 {
-    (full_step - two_half_steps).abs()
-}
-
-/// Suggests the next time step given the current step, an error estimate and a
-/// tolerance, bounded to `[shrink_limit, grow_limit]` times the current step.
-pub fn suggest_step(
-    dt: f64,
-    error: f64,
-    tolerance: f64,
-    shrink_limit: f64,
-    grow_limit: f64,
-) -> f64 {
-    if error <= 0.0 || !error.is_finite() {
-        return dt * grow_limit;
-    }
-    let factor = (tolerance / error).sqrt().clamp(shrink_limit, grow_limit);
-    dt * factor
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,27 +123,5 @@ mod tests {
     #[should_panic(expected = "dt > 0")]
     fn zero_step_panics() {
         let _ = CapacitorCompanion::new(CompanionMethod::BackwardEuler, 1e-15, 0.0, 0.0, 0.0);
-    }
-
-    #[test]
-    fn explicit_step_is_forward_euler() {
-        assert!((explicit_step(1.0, -2.0, 0.25) - 0.5).abs() < 1e-15);
-    }
-
-    #[test]
-    fn step_suggestion_grows_and_shrinks() {
-        let grown = suggest_step(1e-12, 1e-9, 1e-6, 0.2, 4.0);
-        assert!(grown > 1e-12);
-        let shrunk = suggest_step(1e-12, 1e-3, 1e-6, 0.2, 4.0);
-        assert!(shrunk < 1e-12);
-        assert!(shrunk >= 0.2e-12 * 0.999);
-        // Zero error means "grow as much as allowed".
-        assert!((suggest_step(1e-12, 0.0, 1e-6, 0.2, 4.0) - 4e-12).abs() < 1e-24);
-    }
-
-    #[test]
-    fn truncation_error_is_absolute_difference() {
-        assert!((truncation_error(1.0, 0.75) - 0.25).abs() < 1e-15);
-        assert!((truncation_error(-1.0, 1.0) - 2.0).abs() < 1e-15);
     }
 }

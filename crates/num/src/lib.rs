@@ -13,16 +13,14 @@
 //!   lookup cursors (bit-identical to the reference `eval`).
 //! * [`interp`] — 1-D interpolation helpers.
 //! * [`integrate`] — companion-model coefficients for backward-Euler and
-//!   trapezoidal integration plus the explicit update used by the CSM engine.
-//! * [`rootfind`] — bracketing root finders for threshold-crossing extraction.
+//!   trapezoidal integration, used by the SPICE transient engine.
 //! * [`stats`] — RMSE / error metrics (paper Eq. 6).
-//! * [`units`] — light newtypes for electrical quantities.
 //! * [`json`] — a dependency-free JSON tree, parser and writer used for model
 //!   persistence (the build environment has no crates.io access).
 //! * [`hash`] — a seed-free canonical-bytes FNV-1a hasher for content-keyed
 //!   caches (waveform memoization), stable across runs and thread counts.
 //! * [`par`] — a `std::thread`-only thread pool and deterministic `par_map`
-//!   primitives used to fan characterization grids and STA levels across cores.
+//!   primitives used to fan characterization grids and netsim levels across cores.
 //! * [`fault`] — a seeded, deterministic fault-injection plan (chaos testing)
 //!   and cooperative request deadlines, carried as `Option`s so production
 //!   runs pay nothing.
@@ -54,10 +52,8 @@ pub mod lut;
 pub mod matrix;
 pub mod newton;
 pub mod par;
-pub mod rootfind;
 pub mod stats;
 pub mod testrand;
-pub mod units;
 
 pub use error::NumError;
 pub use fault::{Deadline, FaultPlan};
@@ -68,4 +64,3 @@ pub use lut::{LutCursor, LutNd};
 pub use matrix::DenseMatrix;
 pub use newton::{NewtonOptions, NewtonOutcome, NewtonSystem};
 pub use par::{par_map, par_map_result, resolve_threads, ThreadPool};
-pub use units::{Amps, Farads, Seconds, Volts};

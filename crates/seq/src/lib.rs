@@ -39,7 +39,7 @@
 //! use mcsm_seq::{
 //!     analyze_sequential, simulate_sequential, CycleInputs, SeqOptions, SeqTimingOptions,
 //! };
-//! use mcsm_sta::{ClockSpec, DelayBackend, DelayCalculator, ModelLibrary, TimingOptions};
+//! use mcsm_sta::{ClockSpec, DelayBackend, DelayCalculator, ModelLibrary};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let tech = Technology::cmos_130nm();
@@ -69,7 +69,7 @@
 //! let result = simulate_sequential(&netlist, &library, &clock, &cycles, &options)?;
 //! println!("final state: {:?}", result.states.last());
 //!
-//! let timing = SeqTimingOptions::new(TimingOptions::new(calculator, 2e-15));
+//! let timing = SeqTimingOptions::new(calculator, 2e-15);
 //! let report = analyze_sequential(&netlist, &library, &clock, &timing)?;
 //! println!("worst slack: {:?}", report.worst().map(|e| e.setup_slack));
 //! # Ok(())

@@ -36,8 +36,8 @@ use mcsm_core::sim::DriveWaveform;
 use mcsm_net::Netlist;
 use mcsm_netsim::effective_load;
 use mcsm_sta::{
-    output_endpoint, register_endpoint, ClockSpec, DelayCache, EndpointSlack, ModelLibrary,
-    SlackReport, TimingOptions,
+    output_endpoint, register_endpoint, ClockSpec, DelayCache, DelayCalculator, EndpointSlack,
+    ModelLibrary, SlackReport,
 };
 use std::collections::HashMap;
 
@@ -45,18 +45,21 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct SeqTimingOptions {
     /// Per-pin delay solves (backend, stepping, supply). The window
-    /// (`timing.calculator.sim.t_stop`) must be long enough for a single
-    /// gate solve: a few input slews plus the gate delay.
-    pub timing: TimingOptions,
+    /// (`calculator.sim.t_stop`) must be long enough for a single gate
+    /// solve: a few input slews plus the gate delay.
+    pub calculator: DelayCalculator,
+    /// Additional lumped load on every primary output (farads).
+    pub primary_output_load: f64,
     /// Transition time of primary-input launch ramps (seconds).
     pub pi_slew: f64,
 }
 
 impl SeqTimingOptions {
     /// Sequential timing options with a 50 ps input slew.
-    pub fn new(timing: TimingOptions) -> Self {
+    pub fn new(calculator: DelayCalculator, primary_output_load: f64) -> Self {
         SeqTimingOptions {
-            timing,
+            calculator,
+            primary_output_load,
             pi_slew: 50e-12,
         }
     }
@@ -209,7 +212,7 @@ fn pin_delay(
         return Ok((delay, out_slew, out_rising));
     }
 
-    let calculator = &options.timing.calculator;
+    let calculator = &options.calculator;
     let vdd = calculator.vdd;
     let t_start = 4.0 * in_slew;
     let t_in50 = t_start + 0.5 * in_slew;
@@ -289,7 +292,7 @@ pub fn analyze_sequential(
             library,
             &cache,
             reg.q_net,
-            options.timing.primary_output_load,
+            options.primary_output_load,
         )?;
         let insertion = clock.insertion_of(&reg.name);
         let mut points = [(0.0, 0.0); 2];
@@ -330,13 +333,8 @@ pub fn analyze_sequential(
                 for &gate in level {
                     let kind = comb.gate_kind(gate);
                     let out = comb.output_of(gate);
-                    let load = effective_load(
-                        comb,
-                        library,
-                        &cache,
-                        out,
-                        options.timing.primary_output_load,
-                    )?;
+                    let load =
+                        effective_load(comb, library, &cache, out, options.primary_output_load)?;
                     for (pin, &in_net) in comb.inputs_of(gate).iter().enumerate() {
                         for in_rising in [true, false] {
                             let band = bands[in_net.index()].bands[dir(in_rising)];

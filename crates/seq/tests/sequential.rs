@@ -22,9 +22,7 @@ use mcsm_seq::{
     analyze_sequential, capture_time, simulate_sequential, CycleInputs, SeqNetlist, SeqOptions,
     SeqTimingOptions,
 };
-use mcsm_sta::{
-    ClockSpec, DelayBackend, DelayCalculator, EndpointKind, ModelLibrary, TimingOptions,
-};
+use mcsm_sta::{ClockSpec, DelayBackend, DelayCalculator, EndpointKind, ModelLibrary};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -186,10 +184,7 @@ fn generous_clock_has_positive_slack_everywhere_on_s27() {
     let (tech, library) = library();
     let netlist = s27();
     let clock = ClockSpec::new("CK", 3e-9).with_insertion_override("R6", 40e-12);
-    let timing = SeqTimingOptions::new(TimingOptions::new(
-        netsim_options(tech, 6e-9).calculator,
-        PO_LOAD,
-    ));
+    let timing = SeqTimingOptions::new(netsim_options(tech, 6e-9).calculator, PO_LOAD);
     let report = analyze_sequential(&netlist, library, &clock, &timing).unwrap();
     // 3 register endpoints + 1 primary output, every one constrained.
     assert_eq!(report.endpoints.len(), 4);
@@ -217,10 +212,7 @@ fn underconstrained_clock_reports_negative_slack_and_the_late_transition_is_in_t
     // Deliberately under-constrained: the s27 cone needs several gate delays
     // per cycle, but the clock gives it 150 ps.
     let clock = ClockSpec::new("CK", 150e-12).with_slew(30e-12);
-    let timing = SeqTimingOptions::new(TimingOptions::new(
-        netsim_options(tech, 4e-9).calculator,
-        PO_LOAD,
-    ));
+    let timing = SeqTimingOptions::new(netsim_options(tech, 4e-9).calculator, PO_LOAD);
     let report = analyze_sequential(&netlist, library, &clock, &timing).unwrap();
     let worst = report.worst().unwrap().clone();
     assert!(

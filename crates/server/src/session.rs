@@ -38,7 +38,6 @@ use mcsm_seq::{
 use mcsm_sta::delaycalc::{DelayBackend, DelayCache, DelayCalculator, WaveformCache};
 use mcsm_sta::models::ModelLibrary;
 use mcsm_sta::slack::{ClockSpec, EndpointKind};
-use mcsm_sta::TimingOptions;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -1182,10 +1181,10 @@ impl Session {
         let resident = circuit.sequential.as_ref().ok_or_else(|| {
             ServeError::InvalidParams("no clock loaded — call load_clock first".into())
         })?;
-        let timing = SeqTimingOptions::new(TimingOptions::new(
+        let timing = SeqTimingOptions::new(
             config.netsim_options(library.vdd()).calculator,
             config.primary_output_load,
-        ))
+        )
         .with_pi_slew(resident.pi_slew);
         let report = analyze_sequential(&circuit.netlist, library, &resident.clock, &timing)?;
         let violations = report.violations().count();

@@ -6,7 +6,7 @@
 //! normalized RMSE between a model waveform and a SPICE reference.
 
 use crate::error::SpiceError;
-use mcsm_num::interp::{first_crossing, interp1, resample};
+use mcsm_num::interp::{first_crossing, interp1_increasing, resample};
 use mcsm_num::stats;
 use std::sync::Arc;
 
@@ -104,8 +104,13 @@ impl Waveform {
     }
 
     /// Linearly interpolated value at time `t` (clamped outside the range).
+    ///
+    /// Construction already checked the times, so this is a plain binary
+    /// search ([`interp1_increasing`]): O(log n) per call, where re-checking
+    /// the whole time vector on every call would make each drive evaluation
+    /// O(n).
     pub fn value_at(&self, t: f64) -> f64 {
-        interp1(&self.times, &self.values, t).expect("waveform invariants guarantee valid interp")
+        interp1_increasing(&self.times, &self.values, t)
     }
 
     /// Canonical content hash of the waveform: a seed-free FNV-1a over the

@@ -90,7 +90,7 @@ type BackendKey = (u8, u64);
 /// **Scope: one model library per cache.** The cached values are pure
 /// functions of `(key, store contents)`, and the key deliberately does not
 /// identify the store — so a cache must only ever be consulted against one
-/// set of [`ModelStore`]s (one `ModelLibrary`), as `propagate` does by
+/// set of [`ModelStore`]s (one `ModelLibrary`), as `mcsm_netsim` does by
 /// creating a fresh cache per run. Within that scope, sharing the cache
 /// across threads (via `Arc` or a scoped borrow) cannot change results:
 /// concurrent fills of the same key write the same value. Reusing a cache
@@ -373,12 +373,6 @@ impl DelayCalculator {
         drive.initial_value() > 0.5 * self.vdd
     }
 
-    fn is_switching(&self, drive: &DriveWaveform) -> bool {
-        let start = drive.eval(0.0);
-        let end = drive.eval(self.sim.t_stop);
-        (end - start).abs() > 0.5 * self.vdd
-    }
-
     /// Computes the output waveform of one gate.
     ///
     /// `inputs` are the drive waveforms in pin order; `load_capacitance` is the
@@ -636,6 +630,34 @@ impl DelayCalculator {
         }
     }
 
+    /// Picks the pin that drives a SIS model of a multi-input cell, or `None`
+    /// when the cell's Boolean output at `t_stop` equals its output at t = 0.
+    ///
+    /// A SIS model holds every other pin at its non-controlling value, so
+    /// the driven pin must be the one that decides where the output settles.
+    /// Among the pins whose logic level changes, that is the one reaching the
+    /// controlling value first; if none ends controlling, the output follows
+    /// the last pin to cross. Crossings are at Vdd/2 and ties go to the lowest
+    /// pin index.
+    fn sis_pin(&self, kind: CellKind, inputs: &[DriveWaveform]) -> Option<usize> {
+        let t_stop = self.sim.t_stop;
+        let half = 0.5 * self.vdd;
+        let initial: Vec<bool> = inputs.iter().map(|d| self.initial_logic(d)).collect();
+        let last: Vec<bool> = inputs.iter().map(|d| d.eval(t_stop) > half).collect();
+        if kind.evaluate(&initial) == kind.evaluate(&last) {
+            return None;
+        }
+        let controlling = !kind.non_controlling_value();
+        let crossing = |pin: usize| crossing_time(&inputs[pin], half, last[pin], t_stop);
+        let switching = || (0..inputs.len()).filter(|&pin| initial[pin] != last[pin]);
+        // `min_by` keeps the first of equal elements, so both searches below
+        // break ties towards the lowest pin index.
+        switching()
+            .filter(|&pin| last[pin] == controlling)
+            .min_by(|&a, &b| crossing(a).total_cmp(&crossing(b)))
+            .or_else(|| switching().min_by(|&a, &b| crossing(b).total_cmp(&crossing(a))))
+    }
+
     fn sis_only(
         &self,
         store: &ModelStore,
@@ -644,13 +666,22 @@ impl DelayCalculator {
         load_capacitance: f64,
         v_out_initial: f64,
     ) -> Result<Waveform, StaError> {
-        // Use the first switching pin (or pin 0 if nothing switches), exactly as
-        // a SIS-only timing tool would: the other inputs are assumed to be
-        // stable at their non-controlling value.
-        let pin = inputs
-            .iter()
-            .position(|d| self.is_switching(d))
-            .unwrap_or(0);
+        // A single-input cell drives its one pin. A wider cell drives the pin
+        // `sis_pin` picks, as a SIS-only timing tool would: the other inputs
+        // are assumed to be stable at their non-controlling value.
+        let pin = if inputs.len() == 1 {
+            0
+        } else {
+            match self.sis_pin(kind, inputs) {
+                Some(pin) => pin,
+                // The output ends where it started: whatever glitch the
+                // inputs cause, a SIS model cannot show it.
+                None => {
+                    let t_stop = self.sim.t_stop;
+                    return Ok(Waveform::new(vec![0.0, t_stop], vec![v_out_initial; 2])?);
+                }
+            }
+        };
         // Prefer the model characterized for that pin; fall back to any
         // characterized SIS pin, whose tables are comparable. Either way the
         // *switching pin's* waveform drives the simulation.
@@ -668,6 +699,31 @@ impl DelayCalculator {
             v_out_initial,
         )
     }
+}
+
+/// The first time `drive` crosses `level` in the given direction, or `t_stop`
+/// if it never does. Analytic drives are piecewise linear between their
+/// breakpoints, so sampling them there is exact.
+fn crossing_time(drive: &DriveWaveform, level: f64, rising: bool, t_stop: f64) -> f64 {
+    let crossing = match drive {
+        DriveWaveform::Sampled(w) => w.crossing(level, rising),
+        DriveWaveform::Pwl(w) => w.crossing(level, rising),
+        DriveWaveform::Analytic(src) => {
+            let mut times = vec![0.0, t_stop];
+            times.extend(
+                src.breakpoints()
+                    .into_iter()
+                    .filter(|&t| t > 0.0 && t < t_stop),
+            );
+            times.sort_by(f64::total_cmp);
+            times.dedup();
+            let values = times.iter().map(|&t| src.eval(t)).collect();
+            Waveform::new(times, values)
+                .ok()
+                .and_then(|w| w.crossing(level, rising))
+        }
+    };
+    crossing.unwrap_or(t_stop)
 }
 
 #[cfg(test)]
@@ -1043,6 +1099,91 @@ mod tests {
             out.final_value() > 1.0,
             "fallback SIS model saw a non-switching waveform (final = {})",
             out.final_value()
+        );
+    }
+
+    #[test]
+    fn sis_only_settles_where_the_boolean_output_does() {
+        // NOR2: `a` falls at 1.00 ns, `b` rises at 1.02 ns. The output starts
+        // and ends low; driving `a` alone (with `b` assumed non-controlling)
+        // would settle high.
+        let store = nor2_store();
+        let inputs = [
+            DriveWaveform::falling_ramp(1.2, 1.00e-9, 80e-12),
+            DriveWaveform::rising_ramp(1.2, 1.02e-9, 80e-12),
+        ];
+        for backend in [DelayBackend::SisOnly, DelayBackend::CompleteMcsm] {
+            let out = calculator(backend)
+                .gate_output(&store, CellKind::Nor2, &inputs, 4e-15)
+                .unwrap();
+            assert!(
+                out.final_value() < 0.1,
+                "{backend:?} final = {}",
+                out.final_value()
+            );
+        }
+
+        // NAND2: `a` rises while `b` holds 0 V, so the output stays at Vdd.
+        let tech = Technology::cmos_130nm();
+        let template = CellTemplate::new(CellKind::Nand2, tech);
+        let cfg = CharacterizationConfig::coarse();
+        let mut nand2 = ModelStore::new();
+        for pin in 0..2 {
+            nand2
+                .sis
+                .push(characterize_sis(&template, pin, &cfg).unwrap());
+        }
+        let inputs = [
+            DriveWaveform::rising_ramp(1.2, 1e-9, 80e-12),
+            DriveWaveform::dc(0.0),
+        ];
+        let out = calculator(DelayBackend::SisOnly)
+            .gate_output(&nand2, CellKind::Nand2, &inputs, 4e-15)
+            .unwrap();
+        assert_eq!(out.min_value(), 1.2);
+        assert_eq!(out.max_value(), 1.2);
+    }
+
+    #[test]
+    fn sis_pin_follows_the_controlling_and_the_last_edge() {
+        let calc = calculator(DelayBackend::SisOnly);
+        let fall = |t: f64| DriveWaveform::falling_ramp(1.2, t, 80e-12);
+        let rise = |t: f64| DriveWaveform::rising_ramp(1.2, t, 80e-12);
+        // NOR2 '00' -> '11': both end controlling; the first to cross wins.
+        assert_eq!(
+            calc.sis_pin(CellKind::Nor2, &[rise(1.1e-9), rise(1e-9)]),
+            Some(1)
+        );
+        // NOR2 '11' -> '00': none ends controlling; the last to cross wins.
+        assert_eq!(
+            calc.sis_pin(CellKind::Nor2, &[fall(1.1e-9), fall(1e-9)]),
+            Some(0)
+        );
+        // Simultaneous edges go to the lowest pin.
+        assert_eq!(
+            calc.sis_pin(CellKind::Nor2, &[fall(1e-9), fall(1e-9)]),
+            Some(0)
+        );
+        assert_eq!(
+            calc.sis_pin(CellKind::Nand2, &[rise(1e-9), rise(1e-9)]),
+            Some(0)
+        );
+        // A quiet pin never drives; an output that ends where it started
+        // needs no solve at all.
+        let quiet = DriveWaveform::dc(0.0);
+        assert_eq!(
+            calc.sis_pin(CellKind::Nor3, &[quiet.clone(), quiet.clone(), fall(1e-9)]),
+            Some(2)
+        );
+        assert_eq!(calc.sis_pin(CellKind::Nor2, &[quiet.clone(), quiet]), None);
+        // Sampled drives cross where their samples do (here at 1.1 ns, ahead
+        // of the analytic ramp's 1.24 ns).
+        let sampled = DriveWaveform::from_waveform(
+            Waveform::new(vec![0.0, 1e-9, 1.2e-9, 3e-9], vec![0.0, 0.0, 1.2, 1.2]).unwrap(),
+        );
+        assert_eq!(
+            calc.sis_pin(CellKind::Nor2, &[rise(1.2e-9), sampled]),
+            Some(1)
         );
     }
 }

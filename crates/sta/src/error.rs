@@ -4,11 +4,9 @@ use mcsm_core::CsmError;
 use mcsm_spice::SpiceError;
 use std::fmt;
 
-/// Errors produced by graph construction, timing propagation or noise analysis.
+/// Errors produced by delay calculation, slack arithmetic or noise analysis.
 #[derive(Debug)]
 pub enum StaError {
-    /// The gate graph is malformed (dangling nets, combinational cycles…).
-    InvalidGraph(String),
     /// A required characterized model is missing from the model library.
     MissingModel(String),
     /// A parameter was out of range.
@@ -22,7 +20,6 @@ pub enum StaError {
 impl fmt::Display for StaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StaError::InvalidGraph(msg) => write!(f, "invalid gate graph: {msg}"),
             StaError::MissingModel(msg) => write!(f, "missing model: {msg}"),
             StaError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             StaError::Model(e) => write!(f, "model evaluation failed: {e}"),
@@ -60,9 +57,6 @@ mod tests {
     #[test]
     fn display_and_sources() {
         use std::error::Error;
-        assert!(StaError::InvalidGraph("cycle".into())
-            .to_string()
-            .contains("cycle"));
         assert!(StaError::MissingModel("NOR2".into())
             .to_string()
             .contains("NOR2"));

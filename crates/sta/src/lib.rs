@@ -1,92 +1,71 @@
-//! Gate-level timing and crosstalk-noise analysis driven by current-source models.
+//! Gate-level delay calculation and crosstalk-noise analysis driven by
+//! current-source models.
 //!
-//! This crate hosts the "tool context" the paper motivates: a small,
-//! waveform-based static timing analysis layer that consumes the models
+//! This crate hosts the "tool context" the paper motivates — the per-gate
+//! pieces a waveform-based timing flow is assembled from, consuming the models
 //! characterized by `mcsm-core`:
 //!
-//! * [`graph::GateGraph`] — combinational gate-level netlists (the
-//!   STA-internal form; new circuits are better described once through the
-//!   backend-neutral `Netlist` IR of the `mcsm-net` crate and lowered here
-//!   via its `to_gate_graph()`);
 //! * [`models::ModelLibrary`] — characterized model bundles per cell kind;
 //! * [`delaycalc::DelayCalculator`] — per-gate waveform computation with
 //!   selectable backend (SIS-only, baseline MIS, complete MCSM, or the paper's
 //!   §3.4 selective mode), all dispatched through the `CellModel` trait and the
 //!   one generic engine in `mcsm_core`;
-//! * [`arrival`] — topological waveform propagation and arrival/slew extraction;
+//! * [`slack`] — clock specifications and setup/hold endpoint arithmetic;
 //! * [`noise`] — the coupled victim/aggressor crosstalk scenario of the paper's
 //!   Fig. 12, with the aggressor-arrival sweep and accuracy metrics.
 //!
-//! # Example: timing a two-gate chain with selective modeling
+//! Whole netlists are timed by `mcsm-netsim`, which chains
+//! [`DelayCalculator`] solves level by level and answers arrival, slew and
+//! waveform queries from its result.
+//!
+//! # Example: one gate solve with selective modeling
 //!
 //! [`DelayBackend::Selective`] is the paper's recommended operating point: per
 //! gate, the policy compares the driven load against the cell's own output
 //! capacitance and pays for the internal-node tables only where they matter.
 //!
 //! ```no_run
-//! use std::collections::HashMap;
 //! use mcsm_cells::cell::CellKind;
 //! use mcsm_cells::tech::Technology;
 //! use mcsm_core::config::CharacterizationConfig;
 //! use mcsm_core::selective::SelectivePolicy;
 //! use mcsm_core::sim::{CsmSimOptions, DriveWaveform};
-//! use mcsm_sta::arrival::{propagate, TimingOptions};
 //! use mcsm_sta::delaycalc::{DelayBackend, DelayCalculator};
-//! use mcsm_sta::graph::GateGraph;
 //! use mcsm_sta::models::ModelLibrary;
 //!
 //! # fn main() -> Result<(), mcsm_sta::StaError> {
 //! let tech = Technology::cmos_130nm();
 //! let library = ModelLibrary::characterize(
 //!     &tech,
-//!     &[CellKind::Inverter, CellKind::Nor2],
+//!     &[CellKind::Nor2],
 //!     &CharacterizationConfig::standard(),
 //! )?;
 //!
-//! let mut graph = GateGraph::new();
-//! let a = graph.net("a");
-//! let b = graph.net("b");
-//! let mid = graph.net("mid");
-//! let out = graph.net("out");
-//! graph.mark_primary_input(a);
-//! graph.mark_primary_input(b);
-//! graph.mark_primary_output(out);
-//! graph.add_gate("u1", CellKind::Nor2, &[a, b], mid)?;
-//! graph.add_gate("u2", CellKind::Inverter, &[mid], out)?;
-//!
-//! let mut drives = HashMap::new();
-//! drives.insert(a, DriveWaveform::falling_ramp(tech.vdd, 1e-9, 80e-12));
-//! drives.insert(b, DriveWaveform::falling_ramp(tech.vdd, 1e-9, 80e-12));
-//!
-//! // `.with_threads(0)` fans each topological level over all cores —
-//! // bit-identical to the sequential run, just faster on wide netlists.
-//! let options = TimingOptions::new(
-//!     DelayCalculator::new(
-//!         DelayBackend::Selective(SelectivePolicy::default()),
-//!         CsmSimOptions::new(4e-9, 1e-12),
-//!         tech.vdd,
-//!     ),
-//!     2e-15,
-//! )
-//! .with_threads(0);
-//! let timing = propagate(&graph, &library, &drives, &options)?;
-//! println!("out arrives at {:?}", timing.arrival_time(out, false)?);
+//! // Both inputs fall together at 1 ns: a multiple-input-switching event.
+//! let inputs = [
+//!     DriveWaveform::falling_ramp(tech.vdd, 1e-9, 80e-12),
+//!     DriveWaveform::falling_ramp(tech.vdd, 1e-9, 80e-12),
+//! ];
+//! let calculator = DelayCalculator::new(
+//!     DelayBackend::Selective(SelectivePolicy::default()),
+//!     CsmSimOptions::new(4e-9, 1e-12),
+//!     tech.vdd,
+//! );
+//! let store = library.store(CellKind::Nor2)?;
+//! let output = calculator.gate_output(store, CellKind::Nor2, &inputs, 2e-15)?;
+//! println!("NOR2 output rises at {:?}", output.crossing(0.5 * tech.vdd, true));
 //! # Ok(())
 //! # }
 //! ```
 
-pub mod arrival;
 pub mod delaycalc;
 pub mod error;
-pub mod graph;
 pub mod models;
 pub mod noise;
 pub mod slack;
 
-pub use arrival::{propagate, TimingOptions, TimingResult};
 pub use delaycalc::{DelayBackend, DelayCache, DelayCalculator, WaveformCache};
 pub use error::StaError;
-pub use graph::{Gate, GateGraph, GateId, NetId};
 pub use models::ModelLibrary;
 pub use noise::{sweep_injection_times, CrosstalkReference, CrosstalkScenario, NoisePoint};
 pub use slack::{

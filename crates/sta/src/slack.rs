@@ -1,7 +1,7 @@
 //! Required times and slack for clocked (signoff-shaped) timing.
 //!
-//! Combinational propagation ([`crate::arrival`]) answers "when does this net
-//! switch"; signoff timing asks the complementary question: "when *must* it
+//! Combinational timing (the netlist simulator, `mcsm-netsim`) answers "when
+//! does this net switch"; signoff timing asks the complementary question: "when *must* it
 //! switch". This module provides the clock description ([`ClockSpec`]), the
 //! per-endpoint setup/hold arithmetic against characterized register windows
 //! ([`register_endpoint`] / [`output_endpoint`]), and the sorted worst-first

@@ -4,11 +4,9 @@
 //! model solves along the unified `Netlist` IR: every driver's computed
 //! output waveform becomes its fanouts' input (as a shared PWL drive), so
 //! multiple-input-switching alignment survives all the way through the
-//! circuit. This example simulates c17 under staggered falling input ramps,
-//! then runs the same circuit and stimuli through the STA layer's
-//! propagate-everything flow and prints the two 50 % arrival times side by
-//! side — they agree to picoseconds, while the netlist simulator also reports
-//! which gates it never had to solve.
+//! circuit. This example simulates c17 under staggered falling input ramps
+//! and prints each gate output's 50 % arrival time and 10–90 % slew, read off
+//! the simulated waveforms, plus which gates the simulator never had to solve.
 //!
 //! Run with `cargo run --release --example netlist_sim`.
 //! Set `MCSM_BENCH_FAST=1` for coarse characterization grids (CI smoke mode).
@@ -21,7 +19,6 @@ use mcsm::core::config::CharacterizationConfig;
 use mcsm::core::sim::{CsmSimOptions, DriveWaveform};
 use mcsm::net::c17;
 use mcsm::netsim::{simulate_netlist, NetsimOptions};
-use mcsm::sta::arrival::{propagate, TimingOptions};
 use mcsm::sta::delaycalc::{DelayBackend, DelayCalculator};
 use mcsm::sta::models::ModelLibrary;
 
@@ -61,43 +58,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Event-driven netlist simulation (`.with_threads(0)` = all cores;
     // results are bit-identical to the sequential run).
-    let options = NetsimOptions::new(calculator.clone(), 2e-15).with_threads(0);
+    let options = NetsimOptions::new(calculator, 2e-15).with_threads(0);
     let result = simulate_netlist(&netlist, &library, &drives, &options)?;
     let stats = result.stats();
 
-    // The same circuit and stimuli through the STA layer, for comparison.
-    let graph = netlist.to_gate_graph()?;
-    let sta_drives: HashMap<_, _> = drives
-        .iter()
-        .map(|(&net, drive)| {
-            let id = graph.find_net(netlist.net_name(net)).expect("same nets");
-            (id, drive.clone())
-        })
-        .collect();
-    let timing = propagate(
-        &graph,
-        &library,
-        &sta_drives,
-        &TimingOptions::new(calculator, 2e-15).with_threads(0),
-    )?;
-
-    println!("\nnet   | netsim arrival [ps] | STA arrival [ps] | edge");
-    println!("------|---------------------|------------------|-----");
+    println!("\nnet   | arrival [ps] | slew [ps] | edge");
+    println!("------|--------------|-----------|-----");
     for net in netlist.net_refs() {
         if netlist.driver_of(net).is_none() {
             continue;
         }
         let name = netlist.net_name(net);
-        let netsim_arrival = result.arrival_any(net);
-        let sta_arrival = timing.arrival_any(graph.find_net(name)?)?;
-        match (netsim_arrival, sta_arrival) {
-            (Some((t_net, rising)), Some((t_sta, _))) => println!(
-                "{name:<5} | {:>19.1} | {:>16.1} | {}",
-                t_net * 1e12,
-                t_sta * 1e12,
+        match result.arrival_any(net) {
+            Some((t, rising)) => println!(
+                "{name:<5} | {:>12.1} | {:>9.1} | {}",
+                t * 1e12,
+                result.slew(net, rising).unwrap_or(f64::NAN) * 1e12,
                 if rising { "rise" } else { "fall" }
             ),
-            _ => println!("{name:<5} | {:>19} | {:>16} | -", "-", "-"),
+            None => println!("{name:<5} | {:>12} | {:>9} | -", "-", "-"),
         }
     }
     println!(

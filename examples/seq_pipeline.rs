@@ -29,7 +29,6 @@ use mcsm::seq::{analyze_sequential, simulate_sequential, CycleInputs, SeqOptions
 use mcsm::sta::delaycalc::{DelayBackend, DelayCalculator};
 use mcsm::sta::models::ModelLibrary;
 use mcsm::sta::slack::{ClockSpec, SlackReport};
-use mcsm::sta::TimingOptions;
 use mcsm_seq::SeqTimingOptions;
 
 fn print_report(label: &str, report: &SlackReport) {
@@ -137,7 +136,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Signoff timing over the same launch timeline: comfortable, then
     // deliberately under-constrained so the worst endpoint goes negative.
-    let timing = SeqTimingOptions::new(TimingOptions::new(calculator, 2e-15));
+    let timing = SeqTimingOptions::new(calculator, 2e-15);
     print_report(
         "slack @ 2 ns",
         &analyze_sequential(&netlist, &library, &clock, &timing)?,

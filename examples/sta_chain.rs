@@ -5,11 +5,11 @@
 //! internal-node charge; the selective backend pays for the internal-node
 //! tables only on lightly loaded gates.
 //!
-//! The circuit is described once through the unified `Netlist` IR and lowered
-//! to the STA form — the same value would lower to a transistor-level SPICE
-//! deck or replay single gates through the generic model engine. (Hand-
-//! assembling a `GateGraph`, as earlier revisions of this example did, still
-//! works but is the legacy path; `GateGraph` is the STA-internal form.)
+//! The circuit is described once through the unified `Netlist` IR and timed by
+//! the netlist simulator (`mcsm-netsim`), which chains the backend's per-gate
+//! solves and answers arrival queries from the resulting waveforms. The same
+//! netlist value would lower to a transistor-level SPICE deck or replay single
+//! gates through the generic model engine.
 //!
 //! Run with `cargo run --release --example sta_chain`.
 //! Set `MCSM_BENCH_FAST=1` for coarse characterization grids (CI smoke mode).
@@ -22,7 +22,7 @@ use mcsm::core::config::CharacterizationConfig;
 use mcsm::core::selective::SelectivePolicy;
 use mcsm::core::sim::{CsmSimOptions, DriveWaveform};
 use mcsm::net::NetlistBuilder;
-use mcsm::sta::arrival::{propagate, TimingOptions};
+use mcsm::netsim::{simulate_netlist, NetsimOptions};
 use mcsm::sta::delaycalc::{DelayBackend, DelayCalculator};
 use mcsm::sta::models::ModelLibrary;
 
@@ -46,13 +46,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .net_load("out", 2e-15) // explicit lumped load on the output net
         .primary_output("out")
         .build()?;
-    let graph = netlist.to_gate_graph()?;
-    let mid = graph.find_net("mid")?;
-    let out = graph.find_net("out")?;
+    let mid = netlist.find_net("mid")?;
+    let out = netlist.find_net("out")?;
 
     // Both primary inputs fall together at 1 ns: a MIS event at the NOR2.
     let mut drives = HashMap::new();
-    for &pi in graph.primary_inputs() {
+    for &pi in netlist.primary_inputs() {
         drives.insert(pi, DriveWaveform::falling_ramp(tech.vdd, 1e-9, 80e-12));
     }
 
@@ -73,14 +72,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // results are bit-identical to the sequential run. The explicit
         // `net_load("out", …)` above replaces the old per-run
         // `primary_output_load` knob, so it is 0 here.
-        let options = TimingOptions::new(
+        let options = NetsimOptions::new(
             DelayCalculator::new(backend, CsmSimOptions::new(4e-9, 1e-12), tech.vdd),
             0.0,
         )
         .with_threads(0);
-        let timing = propagate(&graph, &library, &drives, &options)?;
-        let t_mid = timing.arrival_time(mid, true)?.unwrap_or(f64::NAN) * 1e12;
-        let t_out = timing.arrival_time(out, false)?.unwrap_or(f64::NAN) * 1e12;
+        let result = simulate_netlist(&netlist, &library, &drives, &options)?;
+        let t_mid = result.arrival_time(mid, true).unwrap_or(f64::NAN) * 1e12;
+        let t_out = result.arrival_time(out, false).unwrap_or(f64::NAN) * 1e12;
         println!("{label:<26} {t_mid:>22.2}   {t_out:>22.2}");
     }
     println!("\nSIS-only timing is optimistic for the simultaneous-switching event;");

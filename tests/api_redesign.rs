@@ -1,18 +1,13 @@
-//! Integration tests for the `CellModel` / `Simulation` API redesign: the
-//! deprecated free functions must match the builder bit-for-bit, and a model
+//! Integration tests for the `CellModel` / `Simulation` API redesign: a model
 //! store must survive a JSON round trip *through `resolve()`* — i.e. the
 //! reloaded store resolves every backend and produces identical waveforms.
-
-#![allow(deprecated)]
 
 use mcsm_cells::cell::{CellKind, CellTemplate};
 use mcsm_cells::tech::Technology;
 use mcsm_core::characterize::{characterize_mcsm, characterize_mis_baseline, characterize_sis};
 use mcsm_core::config::CharacterizationConfig;
 use mcsm_core::selective::SelectivePolicy;
-use mcsm_core::sim::{
-    simulate_mcsm, simulate_mis_baseline, simulate_sis, CsmSimOptions, DriveWaveform, Simulation,
-};
+use mcsm_core::sim::{CsmSimOptions, DriveWaveform, Simulation};
 use mcsm_core::store::{ModelBackend, ModelStore};
 use mcsm_core::CsmError;
 
@@ -34,50 +29,6 @@ fn nor2_store() -> ModelStore {
 
 fn falling(vdd: f64) -> DriveWaveform {
     DriveWaveform::falling_ramp(vdd, 0.5e-9, 60e-12)
-}
-
-#[test]
-fn deprecated_wrappers_and_builder_agree_on_characterized_models() {
-    let store = nor2_store();
-    let vdd = 1.2;
-    let a = falling(vdd);
-    let b = falling(vdd);
-    let load = 4e-15;
-    let opts = CsmSimOptions::new(2e-9, 1e-12);
-
-    let mcsm = store.mcsm.as_ref().unwrap();
-    let wrapper = simulate_mcsm(mcsm, &a, &b, load, 0.0, None, &opts).unwrap();
-    let built = Simulation::of(mcsm)
-        .inputs(&[a.clone(), b.clone()])
-        .load(load)
-        .initial_output(0.0)
-        .options(opts.clone())
-        .run()
-        .unwrap();
-    assert_eq!(wrapper.output, built.output);
-    assert_eq!(&wrapper.internal, built.internal().unwrap());
-
-    let baseline = store.mis_baseline.as_ref().unwrap();
-    let wrapper = simulate_mis_baseline(baseline, &a, &b, load, 0.0, &opts).unwrap();
-    let built = Simulation::of(baseline)
-        .inputs(&[a.clone(), b.clone()])
-        .load(load)
-        .initial_output(0.0)
-        .options(opts.clone())
-        .run()
-        .unwrap();
-    assert_eq!(wrapper, built.output);
-
-    let sis = store.sis_for_pin(0).unwrap();
-    let wrapper = simulate_sis(sis, &a, load, 0.0, &opts).unwrap();
-    let built = Simulation::of(sis)
-        .input(a)
-        .load(load)
-        .initial_output(0.0)
-        .options(opts)
-        .run()
-        .unwrap();
-    assert_eq!(wrapper, built.output);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! The LUT fast path must be invisible in the numbers: cursor-accelerated
 //! lookups (`EvalMode::Fast`) and the retained allocating `LutNd::eval` path
 //! (`EvalMode::Reference`) must produce bit-identical simulation,
-//! characterization-derived model evaluation, and STA results — the latter at
-//! 1, 2 and 8 worker threads.
+//! characterization-derived model evaluation, and netlist timing results —
+//! the latter at 1, 2 and 8 worker threads.
 
 use std::collections::HashMap;
 
@@ -13,11 +13,11 @@ use mcsm::core::config::CharacterizationConfig;
 use mcsm::core::eval::EvalMode;
 use mcsm::core::sim::{CsmIntegration, CsmSimOptions, DriveWaveform, Simulation};
 use mcsm::core::store::ModelStore;
+use mcsm::netsim::{simulate_netlist, NetsimOptions};
 use mcsm::num::testrand::TestRng;
-use mcsm::sta::arrival::{propagate, TimingOptions};
 use mcsm::sta::delaycalc::{DelayBackend, DelayCalculator};
 use mcsm::sta::models::ModelLibrary;
-use mcsm_bench::layered_graph;
+use mcsm_bench::layered_netlist;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -89,16 +89,16 @@ fn sta_is_bit_identical_across_eval_modes_at_every_thread_count() {
         0,
     )
     .unwrap();
-    let graph = layered_graph(4, 2).unwrap();
+    let netlist = layered_netlist(4, 2).unwrap();
     let mut rng = TestRng::new(0xFA);
     let mut drives = HashMap::new();
-    for &pi in graph.primary_inputs() {
+    for &pi in netlist.primary_inputs() {
         let start = rng.in_range(0.8e-9, 1.2e-9);
         drives.insert(pi, DriveWaveform::falling_ramp(tech.vdd, start, 70e-12));
     }
 
     let options_for = |eval: EvalMode, threads: usize| {
-        TimingOptions::new(
+        NetsimOptions::new(
             DelayCalculator::new(
                 DelayBackend::CompleteMcsm,
                 CsmSimOptions::new(3e-9, 4e-12).with_eval(eval),
@@ -111,34 +111,34 @@ fn sta_is_bit_identical_across_eval_modes_at_every_thread_count() {
 
     // One reference run on the retained path, then the fast path at 1/2/8
     // threads: every net's waveform must match the reference to the bit.
-    let reference = propagate(
-        &graph,
+    let reference = simulate_netlist(
+        &netlist,
         &library,
         &drives,
         &options_for(EvalMode::Reference, 1),
     )
     .unwrap();
     for threads in THREAD_COUNTS {
-        let fast = propagate(
-            &graph,
+        let fast = simulate_netlist(
+            &netlist,
             &library,
             &drives,
             &options_for(EvalMode::Fast, threads),
         )
         .unwrap();
-        for net in reference.nets() {
+        for net in netlist.net_refs() {
             assert_eq!(
                 reference.waveform(net).unwrap(),
                 fast.waveform(net).unwrap(),
                 "waveform of `{}` at {threads} threads",
-                graph.net_name(net)
+                netlist.net_name(net)
             );
             for rising in [true, false] {
                 assert_eq!(
-                    reference.arrival_time(net, rising).unwrap(),
-                    fast.arrival_time(net, rising).unwrap(),
+                    reference.arrival_time(net, rising),
+                    fast.arrival_time(net, rising),
                     "arrival of `{}` at {threads} threads",
-                    graph.net_name(net)
+                    netlist.net_name(net)
                 );
             }
         }

@@ -1,7 +1,7 @@
 //! Integration tests of the unified `Netlist` IR: JSON round-trips,
-//! validation, generator determinism, and — the acceptance bar — timing
-//! results of a `Netlist`-lowered graph being bit-identical to a hand-built
-//! `GateGraph` at 1, 2 and 8 threads.
+//! validation, generator determinism, and — the acceptance bar — netsim
+//! timing of a builder-made netlist being bit-identical to the same netlist
+//! reloaded from JSON at 1, 2 and 8 threads.
 
 use std::collections::HashMap;
 
@@ -9,10 +9,9 @@ use mcsm_cells::cell::CellKind;
 use mcsm_cells::tech::Technology;
 use mcsm_core::config::CharacterizationConfig;
 use mcsm_core::sim::{CsmSimOptions, DriveWaveform};
-use mcsm_net::{c17, random_dag, DagConfig, Netlist, NetlistBuilder, NetlistError};
-use mcsm_sta::arrival::{propagate, TimingOptions};
+use mcsm_net::{c17, random_dag, DagConfig, NetRef, Netlist, NetlistBuilder, NetlistError};
+use mcsm_netsim::{simulate_netlist, NetsimOptions};
 use mcsm_sta::delaycalc::{DelayBackend, DelayCalculator};
-use mcsm_sta::graph::GateGraph;
 use mcsm_sta::models::ModelLibrary;
 
 fn library() -> ModelLibrary {
@@ -41,81 +40,61 @@ fn wide_netlist() -> Netlist {
         .unwrap()
 }
 
-/// The same circuit assembled directly against the STA-internal `GateGraph`
-/// (the legacy path the IR replaces).
-fn wide_graph_by_hand() -> GateGraph {
-    let mut g = GateGraph::new();
-    let pis: Vec<_> = (0..4).map(|i| g.net(&format!("in{i}"))).collect();
-    for &pi in &pis {
-        g.mark_primary_input(pi);
-    }
-    let m0 = g.net("m0");
-    let m1 = g.net("m1");
-    let n0 = g.net("n0");
-    let n1 = g.net("n1");
-    let out = g.net("out");
-    g.mark_primary_output(out);
-    g.add_gate("u0", CellKind::Nor2, &[pis[0], pis[1]], m0)
-        .unwrap();
-    g.add_gate("u1", CellKind::Nor2, &[pis[2], pis[3]], m1)
-        .unwrap();
-    g.add_gate("v0", CellKind::Inverter, &[m0], n0).unwrap();
-    g.add_gate("v1", CellKind::Inverter, &[m1], n1).unwrap();
-    g.add_gate("w", CellKind::Nor2, &[n0, n1], out).unwrap();
-    g
+fn options(threads: usize) -> NetsimOptions {
+    NetsimOptions::new(
+        DelayCalculator::new(
+            DelayBackend::CompleteMcsm,
+            CsmSimOptions::new(4e-9, 2e-12),
+            1.2,
+        ),
+        2e-15,
+    )
+    .with_threads(threads)
+}
+
+/// Staggered falling ramps on every primary input, so the cones are
+/// asymmetric.
+fn staggered_drives(netlist: &Netlist) -> HashMap<NetRef, DriveWaveform> {
+    netlist
+        .primary_inputs()
+        .iter()
+        .enumerate()
+        .map(|(i, &pi)| {
+            (
+                pi,
+                DriveWaveform::falling_ramp(1.2, 1e-9 + 40e-12 * i as f64, 80e-12),
+            )
+        })
+        .collect()
 }
 
 #[test]
-fn netlist_built_graph_times_bit_identical_to_hand_built_at_all_thread_counts() {
+fn builder_and_json_netlists_time_bit_identical_at_all_thread_counts() {
     let lib = library();
-    let lowered = wide_netlist().to_gate_graph().unwrap();
-    let by_hand = wide_graph_by_hand();
-
-    let drives_for = |graph: &GateGraph| -> HashMap<_, _> {
-        graph
-            .primary_inputs()
-            .iter()
-            .enumerate()
-            .map(|(i, &pi)| {
-                // Staggered edges so the cones are asymmetric.
-                (
-                    pi,
-                    DriveWaveform::falling_ramp(1.2, 1e-9 + 40e-12 * i as f64, 80e-12),
-                )
-            })
-            .collect()
-    };
+    let built = wide_netlist();
+    let reloaded = Netlist::from_json_str(&built.to_json_string()).unwrap();
+    let drives = staggered_drives(&built);
+    let reference = simulate_netlist(&built, &lib, &drives, &options(1)).unwrap();
 
     for threads in [1, 2, 8] {
-        let options = TimingOptions::new(
-            DelayCalculator::new(
-                DelayBackend::CompleteMcsm,
-                CsmSimOptions::new(4e-9, 2e-12),
-                1.2,
-            ),
-            2e-15,
-        )
-        .with_threads(threads);
-        let from_netlist = propagate(&lowered, &lib, &drives_for(&lowered), &options).unwrap();
-        let from_hand = propagate(&by_hand, &lib, &drives_for(&by_hand), &options).unwrap();
-
-        let mut nets: Vec<_> = from_hand.nets().collect();
-        nets.sort();
-        assert_eq!(nets.len(), from_netlist.nets().count());
-        for net in nets {
-            // Net ids correspond (same creation order by construction); the
-            // waveforms must agree to the bit.
+        for netlist in [&built, &reloaded] {
+            let result = simulate_netlist(netlist, &lib, &drives, &options(threads)).unwrap();
+            for net in built.net_refs() {
+                // Net refs correspond (same creation order by construction);
+                // the waveforms must agree to the bit.
+                assert_eq!(
+                    reference.waveform(net).unwrap(),
+                    result.waveform(net).unwrap(),
+                    "net `{}` differs at {threads} threads",
+                    built.net_name(net)
+                );
+            }
+            let (a, b) = (reference.stats(), result.stats());
             assert_eq!(
-                from_hand.waveform(net).unwrap(),
-                from_netlist.waveform(net).unwrap(),
-                "net `{}` differs at {threads} threads",
-                by_hand.net_name(net)
+                (a.gates_simulated, a.cache_hits + a.cache_misses),
+                (b.gates_simulated, b.cache_hits + b.cache_misses),
             );
         }
-        assert_eq!(
-            from_hand.cache_hits() + from_hand.cache_misses(),
-            from_netlist.cache_hits() + from_netlist.cache_misses(),
-        );
     }
 }
 
@@ -131,11 +110,9 @@ fn generated_circuits_round_trip_through_json() {
         let text = netlist.to_json_string();
         let back = Netlist::from_json_str(&text).unwrap();
         assert_eq!(netlist, back, "{} round trip", netlist.name());
-        // Round-tripped netlists lower to the same graph.
-        let a = netlist.to_gate_graph().unwrap();
-        let b = back.to_gate_graph().unwrap();
-        assert_eq!(a.gates(), b.gates());
-        assert_eq!(a.primary_inputs(), b.primary_inputs());
+        // Round-tripped netlists levelize to the same schedule.
+        assert_eq!(netlist.levels(), back.levels());
+        assert_eq!(netlist.primary_inputs(), back.primary_inputs());
     }
 }
 
@@ -201,7 +178,7 @@ fn validation_rejects_the_classic_structural_bugs() {
 }
 
 #[test]
-fn explicit_net_loads_shift_arrivals_through_the_lowering() {
+fn explicit_net_loads_shift_netsim_arrivals() {
     let lib = library();
     let build = |load: f64| {
         let mut builder = NetlistBuilder::new("loaded")
@@ -213,33 +190,22 @@ fn explicit_net_loads_shift_arrivals_through_the_lowering() {
         if load > 0.0 {
             builder = builder.net_load("mid", load);
         }
-        builder.build().unwrap().to_gate_graph().unwrap()
+        builder.build().unwrap()
     };
-    let run = |graph: &GateGraph| {
-        let mut drives = HashMap::new();
-        for &pi in graph.primary_inputs() {
-            drives.insert(pi, DriveWaveform::falling_ramp(1.2, 1e-9, 80e-12));
-        }
-        let options = TimingOptions::new(
-            DelayCalculator::new(
-                DelayBackend::CompleteMcsm,
-                CsmSimOptions::new(4e-9, 2e-12),
-                1.2,
-            ),
-            2e-15,
-        );
-        let timing = propagate(graph, &lib, &drives, &options).unwrap();
-        timing
-            .arrival_time(graph.find_net("mid").unwrap(), true)
-            .unwrap()
+    let run = |netlist: &Netlist| {
+        let drives: HashMap<_, _> = netlist
+            .primary_inputs()
+            .iter()
+            .map(|&pi| (pi, DriveWaveform::falling_ramp(1.2, 1e-9, 80e-12)))
+            .collect();
+        let result = simulate_netlist(netlist, &lib, &drives, &options(1)).unwrap();
+        result
+            .arrival_time(netlist.find_net("mid").unwrap(), true)
             .unwrap()
     };
     let unloaded = build(0.0);
     let loaded = build(20e-15);
-    assert_eq!(
-        loaded.extra_load_of(loaded.find_net("mid").unwrap()),
-        20e-15
-    );
+    assert_eq!(loaded.net_load(loaded.find_net("mid").unwrap()), 20e-15);
     assert!(
         run(&loaded) > run(&unloaded),
         "an explicit 20 fF wire load must slow the NOR2 down"

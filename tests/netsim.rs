@@ -1,8 +1,9 @@
 //! Integration tests of the event-driven netlist transient simulator
 //! (`mcsm-netsim`) — the acceptance bar of the netsim PR:
 //!
-//! * netsim 50 % crossing times agree with `mcsm_sta::propagate` arrivals on
-//!   chain / tree / DAG generator circuits;
+//! * every gate netsim solves on chain / tree / DAG generator circuits
+//!   re-solves bit-for-bit through `DelayCalculator::gate_output` from its
+//!   handoff drives and effective load (the per-gate replay contract);
 //! * netsim waveforms agree with full transistor-level SPICE on the ISCAS-85
 //!   c17 within a pinned NRMSE bound;
 //! * parallel simulation is bit-identical to sequential at 1, 2 and 8
@@ -18,14 +19,13 @@ use mcsm_cells::tech::Technology;
 use mcsm_core::config::CharacterizationConfig;
 use mcsm_core::sim::{CsmSimOptions, DriveWaveform};
 use mcsm_net::{balanced_tree, c17, nand_chain, random_dag, DagConfig, NetRef, Netlist};
-use mcsm_netsim::{simulate_netlist, topological_levels, NetsimOptions};
+use mcsm_netsim::{effective_load, simulate_netlist, NetsimOptions, DEFAULT_EVENT_THRESHOLD};
 use mcsm_num::json::JsonValue;
 use mcsm_num::testrand::TestRng;
 use mcsm_spice::analysis::{transient, TranOptions};
 use mcsm_spice::source::SourceWaveform;
 use mcsm_spice::waveform::Waveform;
-use mcsm_sta::arrival::{propagate, TimingOptions};
-use mcsm_sta::delaycalc::{DelayBackend, DelayCalculator};
+use mcsm_sta::delaycalc::{DelayBackend, DelayCache, DelayCalculator};
 use mcsm_sta::models::ModelLibrary;
 
 fn library() -> ModelLibrary {
@@ -59,7 +59,7 @@ fn calculator(vdd: f64, window: f64, dt: f64) -> DelayCalculator {
 }
 
 #[test]
-fn netsim_arrivals_match_sta_on_generator_circuits() {
+fn netsim_gate_solves_replay_bit_for_bit_through_the_delay_calculator() {
     let library = library();
     let vdd = library.vdd();
     let circuits: Vec<Netlist> = vec![
@@ -72,71 +72,73 @@ fn netsim_arrivals_match_sta_on_generator_circuits() {
             seed: 0xC17,
         }),
     ];
+    const PO_LOAD: f64 = 2e-15;
 
     for netlist in circuits {
-        let levels = topological_levels(&netlist).level_count();
-        let window = 2e-9 + 0.4e-9 * levels as f64;
+        let window = 2e-9 + 0.4e-9 * netlist.levels().level_count() as f64;
+        let calc = calculator(vdd, window, 4e-12);
         let drives = falling_drives(&netlist, vdd);
-
-        // The same circuit and stimuli through the STA layer.
-        let graph = netlist.to_gate_graph().unwrap();
-        let sta_drives: HashMap<_, _> = drives
-            .iter()
-            .map(|(&net, drive)| {
-                let net_id = graph.find_net(netlist.net_name(net)).unwrap();
-                (net_id, drive.clone())
-            })
-            .collect();
-        let timing = propagate(
-            &graph,
-            &library,
-            &sta_drives,
-            &TimingOptions::new(calculator(vdd, window, 4e-12), 2e-15),
-        )
-        .unwrap();
-
         let result = simulate_netlist(
             &netlist,
             &library,
             &drives,
-            &NetsimOptions::new(calculator(vdd, window, 4e-12), 2e-15),
+            &NetsimOptions::new(calc.clone(), PO_LOAD),
         )
         .unwrap();
 
-        let mut compared = 0;
-        for net in netlist.net_refs() {
-            if netlist.driver_of(net).is_none() {
-                continue; // STA computes no waveform on primary inputs.
-            }
-            let net_id = graph.find_net(netlist.net_name(net)).unwrap();
-            let sta_arrival = timing.arrival_any(net_id).unwrap();
-            let netsim_arrival = result.arrival_any(net);
-            match (sta_arrival, netsim_arrival) {
-                (Some((t_sta, r_sta)), Some((t_net, r_net))) => {
-                    assert_eq!(
-                        r_sta,
-                        r_net,
-                        "{}/{}: direction mismatch",
-                        netlist.name(),
-                        netlist.net_name(net)
-                    );
-                    assert!(
-                        (t_sta - t_net).abs() < 2e-12,
-                        "{}/{}: STA {t_sta} vs netsim {t_net}",
-                        netlist.name(),
-                        netlist.net_name(net)
-                    );
-                    compared += 1;
+        // Each net's handoff as netsim commits it — the primary-input drive,
+        // an active output's samples as a PWL, or a quiet output's DC level —
+        // with its event flag. Every drive here is a monotone ramp, so its
+        // end points span its excursion.
+        let mut handoff: Vec<Option<(DriveWaveform, bool)>> = vec![None; netlist.net_count()];
+        for (&net, drive) in &drives {
+            let active = (drive.eval(window) - drive.eval(0.0)).abs() >= DEFAULT_EVENT_THRESHOLD;
+            handoff[net.index()] = Some((drive.clone(), active));
+        }
+        let cache = DelayCache::new();
+        let mut replayed = 0;
+        for level in netlist.levels().iter() {
+            for &gate in level {
+                let out = netlist.output_of(gate);
+                let produced = result.waveform(out).unwrap();
+                let (inputs, flags): (Vec<DriveWaveform>, Vec<bool>) = netlist
+                    .inputs_of(gate)
+                    .iter()
+                    .map(|net| handoff[net.index()].clone().unwrap())
+                    .unzip();
+                let solved = flags.contains(&true);
+                let active = solved
+                    && produced.max_value() - produced.min_value() >= DEFAULT_EVENT_THRESHOLD;
+                handoff[out.index()] = Some(if active {
+                    (DriveWaveform::from_waveform(produced.clone()), true)
+                } else {
+                    (DriveWaveform::dc(produced.final_value()), false)
+                });
+                if !solved {
+                    continue; // resolved to its DC level without the engine
                 }
-                (None, None) => {}
-                (sta, netsim) => panic!(
-                    "{}/{}: STA {sta:?} vs netsim {netsim:?}",
+                let kind = netlist.gate_kind(gate);
+                let load = effective_load(&netlist, &library, &cache, out, PO_LOAD).unwrap();
+                let replay = calc
+                    .gate_output(library.store(kind).unwrap(), kind, &inputs, load)
+                    .unwrap();
+                assert_eq!(
+                    &replay,
+                    produced,
+                    "{}/{}: replay differs from netsim",
                     netlist.name(),
-                    netlist.net_name(net)
-                ),
+                    netlist.gate_name(gate)
+                );
+                replayed += 1;
             }
         }
-        assert!(compared > 0, "{}: no transitioning nets", netlist.name());
+        assert!(replayed > 0, "{}: no gate was solved", netlist.name());
+        assert_eq!(
+            replayed,
+            result.stats().gates_simulated,
+            "{}",
+            netlist.name()
+        );
     }
 }
 
@@ -230,8 +232,7 @@ fn netsim_parallel_is_bit_identical_at_1_2_8_threads() {
         max_fanout: 3,
         seed: 42,
     });
-    let levels = topological_levels(&netlist).level_count();
-    let window = 2e-9 + 0.4e-9 * levels as f64;
+    let window = 2e-9 + 0.4e-9 * netlist.levels().level_count() as f64;
 
     // Mixed activity: half the inputs switch, half idle at a rail — the skip
     // path and the solve path are both part of the determinism contract. The
@@ -380,5 +381,44 @@ fn committed_netsim_baseline_is_well_formed() {
             .as_f64()
             .unwrap()
             > 0.0
+    );
+}
+
+#[test]
+fn sis_only_settles_on_the_complete_mcsm_rail_on_a_random_dag() {
+    // Every input falls, staggered: MIS events where one pin ends at the
+    // controlling value while another leaves it are everywhere in a
+    // 100-gate DAG. A SIS-only run may be off in timing, never in logic.
+    let library = library();
+    let vdd = library.vdd();
+    let netlist = random_dag(&DagConfig::with_gate_budget(100, 11));
+    let window = 2e-9 + 0.4e-9 * netlist.levels().level_count() as f64;
+    let drives = falling_drives(&netlist, vdd);
+    let run = |backend: DelayBackend| {
+        let calc = DelayCalculator::new(backend, CsmSimOptions::new(window, 4e-12), vdd);
+        simulate_netlist(
+            &netlist,
+            &library,
+            &drives,
+            &NetsimOptions::new(calc, 2e-15),
+        )
+        .unwrap()
+    };
+    let sis = run(DelayBackend::SisOnly);
+    let mcsm = run(DelayBackend::CompleteMcsm);
+    let wrong_rail: Vec<&str> = netlist
+        .gate_refs()
+        .map(|gate| netlist.output_of(gate))
+        .filter(|&net| {
+            let high = |result: &mcsm_netsim::NetsimResult| {
+                result.waveform(net).unwrap().final_value() > 0.5 * vdd
+            };
+            high(&sis) != high(&mcsm)
+        })
+        .map(|net| netlist.net_name(net))
+        .collect();
+    assert!(
+        wrong_rail.is_empty(),
+        "SIS settles on the wrong rail at {wrong_rail:?}"
     );
 }

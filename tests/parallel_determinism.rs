@@ -1,6 +1,7 @@
 //! Determinism of the parallel batch subsystem: `par_map` and everything
-//! wired on top of it (characterization batches, level-parallel STA) must be
-//! bit-identical to the sequential path at 1, 2 and 8 threads.
+//! wired on top of it (characterization batches, level-parallel netlist
+//! timing) must be bit-identical to the sequential path at 1, 2 and 8
+//! threads.
 
 use std::collections::HashMap;
 
@@ -9,12 +10,12 @@ use mcsm::cells::tech::Technology;
 use mcsm::core::characterize::characterize_batch;
 use mcsm::core::config::CharacterizationConfig;
 use mcsm::core::sim::{CsmSimOptions, DriveWaveform};
+use mcsm::netsim::{simulate_netlist, NetsimOptions};
 use mcsm::num::par;
 use mcsm::num::testrand::TestRng;
-use mcsm::sta::arrival::{propagate, TimingOptions};
 use mcsm::sta::delaycalc::{DelayBackend, DelayCalculator};
 use mcsm::sta::models::ModelLibrary;
-use mcsm_bench::layered_graph;
+use mcsm_bench::layered_netlist;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -76,16 +77,16 @@ fn sta_arrival_times_are_identical_across_thread_counts() {
     .unwrap();
 
     // A 4-wide, 2-deep netlist with randomized (but seeded) input edges.
-    let graph = layered_graph(4, 2).unwrap();
+    let netlist = layered_netlist(4, 2).unwrap();
     let mut rng = TestRng::new(0xA11);
     let mut drives = HashMap::new();
-    for &pi in graph.primary_inputs() {
+    for &pi in netlist.primary_inputs() {
         let start = rng.in_range(0.8e-9, 1.2e-9);
         let transition = rng.in_range(50e-12, 120e-12);
         drives.insert(pi, DriveWaveform::falling_ramp(tech.vdd, start, transition));
     }
 
-    let base_options = TimingOptions::new(
+    let base_options = NetsimOptions::new(
         DelayCalculator::new(
             DelayBackend::CompleteMcsm,
             CsmSimOptions::new(3e-9, 4e-12),
@@ -93,31 +94,31 @@ fn sta_arrival_times_are_identical_across_thread_counts() {
         ),
         2e-15,
     );
-    let reference = propagate(&graph, &library, &drives, &base_options).unwrap();
+    let reference = simulate_netlist(&netlist, &library, &drives, &base_options).unwrap();
     for threads in THREAD_COUNTS {
         let options = base_options.clone().with_threads(threads);
-        let result = propagate(&graph, &library, &drives, &options).unwrap();
-        for net in reference.nets() {
+        let result = simulate_netlist(&netlist, &library, &drives, &options).unwrap();
+        for net in netlist.net_refs() {
             assert_eq!(
                 reference.waveform(net).unwrap(),
                 result.waveform(net).unwrap(),
                 "waveform of `{}` at {threads} threads",
-                graph.net_name(net)
+                netlist.net_name(net)
             );
             // Arrival times and slews are derived from the waveforms, so they
             // must match exactly as well.
             for rising in [true, false] {
                 assert_eq!(
-                    reference.arrival_time(net, rising).unwrap(),
-                    result.arrival_time(net, rising).unwrap(),
+                    reference.arrival_time(net, rising),
+                    result.arrival_time(net, rising),
                     "arrival of `{}` at {threads} threads",
-                    graph.net_name(net)
+                    netlist.net_name(net)
                 );
                 assert_eq!(
-                    reference.slew(net, rising).unwrap(),
-                    result.slew(net, rising).unwrap(),
+                    reference.slew(net, rising),
+                    result.slew(net, rising),
                     "slew of `{}` at {threads} threads",
-                    graph.net_name(net)
+                    netlist.net_name(net)
                 );
             }
         }

@@ -1,9 +1,6 @@
-//! Integration test of the gate-level timing flow (`mcsm-sta`) on top of the
+//! Integration test of the gate-level timing flow — `mcsm-netsim` chaining
+//! `mcsm-sta` delay-calculator solves over a `Netlist` — on top of the
 //! characterized models, plus the selective-modeling policy.
-//!
-//! Circuits are described through the unified `Netlist` IR and lowered to the
-//! STA form — the flow every consumer should use (`tests/netlist_ir.rs` pins
-//! the equivalence against hand-built graphs).
 
 use std::collections::HashMap;
 
@@ -13,10 +10,11 @@ use mcsm_cells::tech::Technology;
 use mcsm_core::config::CharacterizationConfig;
 use mcsm_core::selective::{ModelChoice, SelectivePolicy};
 use mcsm_core::sim::{CsmSimOptions, DriveWaveform};
-use mcsm_net::NetlistBuilder;
-use mcsm_sta::arrival::{propagate, TimingOptions};
+use mcsm_net::{Netlist, NetlistBuilder};
+use mcsm_netsim::{simulate_netlist, NetsimError, NetsimOptions};
 use mcsm_sta::delaycalc::{DelayBackend, DelayCalculator};
 use mcsm_sta::models::ModelLibrary;
+use mcsm_sta::StaError;
 
 fn library() -> ModelLibrary {
     ModelLibrary::characterize(
@@ -42,16 +40,15 @@ fn three_stage_chain_produces_causal_arrivals_for_all_backends() {
         .primary_output("out")
         .build()
         .unwrap();
-    let graph = netlist.to_gate_graph().unwrap();
-    let a = graph.find_net("a").unwrap();
-    let b = graph.find_net("b").unwrap();
-    let n1 = graph.find_net("n1").unwrap();
-    let n2 = graph.find_net("n2").unwrap();
-    let out = graph.find_net("out").unwrap();
+    let n1 = netlist.find_net("n1").unwrap();
+    let n2 = netlist.find_net("n2").unwrap();
+    let out = netlist.find_net("out").unwrap();
 
-    let mut drives = HashMap::new();
-    drives.insert(a, DriveWaveform::falling_ramp(tech.vdd, 1e-9, 80e-12));
-    drives.insert(b, DriveWaveform::falling_ramp(tech.vdd, 1e-9, 80e-12));
+    let drives: HashMap<_, _> = netlist
+        .primary_inputs()
+        .iter()
+        .map(|&pi| (pi, DriveWaveform::falling_ramp(tech.vdd, 1e-9, 80e-12)))
+        .collect();
 
     let mut arrivals = Vec::new();
     for backend in [
@@ -59,14 +56,14 @@ fn three_stage_chain_produces_causal_arrivals_for_all_backends() {
         DelayBackend::BaselineMis,
         DelayBackend::CompleteMcsm,
     ] {
-        let options = TimingOptions::new(
+        let options = NetsimOptions::new(
             DelayCalculator::new(backend, CsmSimOptions::new(5e-9, 1e-12), tech.vdd),
             2e-15,
         );
-        let timing = propagate(&graph, &lib, &drives, &options).unwrap();
-        let t1 = timing.arrival_time(n1, true).unwrap().unwrap();
-        let t2 = timing.arrival_time(n2, false).unwrap().unwrap();
-        let t3 = timing.arrival_time(out, true).unwrap().unwrap();
+        let result = simulate_netlist(&netlist, &lib, &drives, &options).unwrap();
+        let t1 = result.arrival_time(n1, true).unwrap();
+        let t2 = result.arrival_time(n2, false).unwrap();
+        let t3 = result.arrival_time(out, true).unwrap();
         assert!(
             t1 > 1e-9 && t2 > t1 && t3 > t2,
             "{backend:?}: {t1} {t2} {t3}"
@@ -107,4 +104,88 @@ fn selective_policy_switches_between_models_by_fanout() {
     assert_eq!(policy.choose(&mcsm, light), ModelChoice::CompleteMcsm);
     assert_eq!(policy.choose(&mcsm, heavy), ModelChoice::SimpleMis);
     assert!(policy.load_ratio(&mcsm, heavy) > policy.load_ratio(&mcsm, light));
+}
+
+/// Two NOR2 cones into an inverter pair into a NOR2 — wide enough that
+/// level-parallel simulation actually fans out.
+fn wide_netlist() -> Netlist {
+    NetlistBuilder::new("wide")
+        .primary_input("in0")
+        .primary_input("in1")
+        .primary_input("in2")
+        .primary_input("in3")
+        .gate("u0", CellKind::Nor2, &["in0", "in1"], "m0")
+        .gate("u1", CellKind::Nor2, &["in2", "in3"], "m1")
+        .gate("v0", CellKind::Inverter, &["m0"], "n0")
+        .gate("v1", CellKind::Inverter, &["m1"], "n1")
+        .gate("w", CellKind::Nor2, &["n0", "n1"], "out")
+        .primary_output("out")
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn selective_backend_times_like_the_family_it_selects() {
+    let tech = Technology::cmos_130nm();
+    let lib = library();
+    let netlist = wide_netlist();
+    // Staggered edges so the two cones are not symmetric.
+    let drives: HashMap<_, _> = netlist
+        .primary_inputs()
+        .iter()
+        .enumerate()
+        .map(|(i, &pi)| {
+            let start = 1e-9 + 40e-12 * i as f64;
+            (pi, DriveWaveform::falling_ramp(tech.vdd, start, 80e-12))
+        })
+        .collect();
+    let run = |backend: DelayBackend, threads: usize| {
+        let options = NetsimOptions::new(
+            DelayCalculator::new(backend, CsmSimOptions::new(4e-9, 1e-12), tech.vdd),
+            2e-15,
+        )
+        .with_threads(threads);
+        simulate_netlist(&netlist, &lib, &drives, &options).unwrap()
+    };
+
+    // A huge threshold keeps every NOR2 on the complete model, a tiny one
+    // moves every NOR2 to the simple MIS model; either way the selective run
+    // must equal the backend of the family it picked, at every thread count.
+    let complete = run(DelayBackend::CompleteMcsm, 1);
+    let simple = run(DelayBackend::BaselineMis, 1);
+    assert!(complete.stats().cache_hits > 0, "repeated kinds must hit");
+    for threads in [1, 2, 8] {
+        let heavy = run(DelayBackend::Selective(SelectivePolicy::new(1e9)), threads);
+        let light = run(DelayBackend::Selective(SelectivePolicy::new(1e-9)), threads);
+        for net in netlist.net_refs() {
+            let name = netlist.net_name(net);
+            assert_eq!(heavy.waveform(net), complete.waveform(net), "{name}");
+            assert_eq!(light.waveform(net), simple.waveform(net), "{name}");
+        }
+    }
+    let out = netlist.find_net("out").unwrap();
+    assert!(complete.arrival_any(out).is_some());
+}
+
+#[test]
+fn missing_cell_model_is_reported() {
+    let netlist = wide_netlist();
+    let drives: HashMap<_, _> = netlist
+        .primary_inputs()
+        .iter()
+        .map(|&pi| (pi, DriveWaveform::falling_ramp(1.2, 1e-9, 80e-12)))
+        .collect();
+    let options = NetsimOptions::new(
+        DelayCalculator::new(
+            DelayBackend::CompleteMcsm,
+            CsmSimOptions::new(4e-9, 1e-12),
+            1.2,
+        ),
+        2e-15,
+    );
+    let err = simulate_netlist(&netlist, &ModelLibrary::new(1.2), &drives, &options);
+    assert!(
+        matches!(err, Err(NetsimError::Sta(StaError::MissingModel(_)))),
+        "{err:?}"
+    );
 }
