@@ -20,7 +20,10 @@
 //! * [`sta`] — sequential signoff timing ([`analyze_sequential`]): waveform
 //!   propagation over the same cones on the same launch timeline, checked
 //!   against each register's characterized setup/hold windows into a
-//!   worst-first [`mcsm_sta::slack::SlackReport`].
+//!   worst-first [`mcsm_sta::slack::SlackReport`]. Per-pin delays live in a
+//!   caller-owned [`PinDelayMemo`]: the first analysis solves every pin
+//!   shape, and later analyses through the same memo solve only the shapes
+//!   they have not met before, with bit-identical reports.
 //!
 //! Register models (clk-to-q tables, setup/hold windows, D-pin capacitance)
 //! come from `mcsm_core::characterize::registers` via
@@ -37,7 +40,8 @@
 //! use mcsm_net::s27;
 //! use mcsm_netsim::NetsimOptions;
 //! use mcsm_seq::{
-//!     analyze_sequential, simulate_sequential, CycleInputs, SeqOptions, SeqTimingOptions,
+//!     analyze_sequential, simulate_sequential, CycleInputs, PinDelayMemo, SeqOptions,
+//!     SeqTimingOptions,
 //! };
 //! use mcsm_sta::{ClockSpec, DelayBackend, DelayCalculator, ModelLibrary};
 //!
@@ -70,8 +74,14 @@
 //! println!("final state: {:?}", result.states.last());
 //!
 //! let timing = SeqTimingOptions::new(calculator, 2e-15);
-//! let report = analyze_sequential(&netlist, &library, &clock, &timing)?;
+//! // Keep the memo across signoffs: the first one solves every pin shape,
+//! // the second (here at a tighter clock) only shapes it has not met.
+//! let mut memo = PinDelayMemo::new();
+//! let report = analyze_sequential(&netlist, &library, &clock, &timing, &mut memo)?;
 //! println!("worst slack: {:?}", report.worst().map(|e| e.setup_slack));
+//! let tight = ClockSpec::new("CK", 0.5e-9);
+//! let report = analyze_sequential(&netlist, &library, &tight, &timing, &mut memo)?;
+//! println!("{} violations, {} new pin solves", report.violations().count(), memo.solves());
 //! # Ok(())
 //! # }
 //! ```
@@ -87,4 +97,4 @@ pub use epoch::{
 };
 pub use error::SeqError;
 pub use partition::{NetSource, Register, SeqNetlist};
-pub use sta::{analyze_sequential, SeqTimingOptions};
+pub use sta::{analyze_sequential, PinDelayMemo, SeqTimingOptions};

@@ -11,9 +11,18 @@
 //! saturated ramp of the path's slew drives it through
 //! [`DelayCalculator::gate_output_cached`], and the measured 50 % delay and
 //! output transition time propagate `arrival + delay` per direction.
-//! Delays are memoized per (cell, pin, direction, slew, load) bucket, so the
-//! cost is a handful of single-gate solves per distinct cell shape rather
-//! than per gate instance.
+//!
+//! Delays are memoized per (cell, pin, input direction, slew bucket, load
+//! bucket) shape in a caller-owned [`PinDelayMemo`], so an analysis costs one
+//! single-gate solve per distinct shape rather than per gate instance, and a
+//! memo kept across analyses — the query server keeps one per clocked
+//! session — re-solves only the shapes it has not met before. Each shape is
+//! solved at its bucket's representative slew and load, so a memo value is a
+//! pure function of its key and a report never depends on what the memo
+//! served earlier: an analysis through a warm memo is bit-identical to one
+//! through an empty memo. The memo empties itself when handed a different
+//! calculator and, after each successful analysis, keeps only the shapes that
+//! analysis used.
 //!
 //! Launch timeline matches the epoch scheduler ([`crate::epoch`]): primary
 //! inputs switch at `t0 = 2*clock.slew` with the configured input slew;
@@ -150,6 +159,90 @@ struct PinKey {
     load_af: u64,
 }
 
+/// One memoized pin delay and the analysis that last used it.
+#[derive(Debug, Clone, Copy)]
+struct PinDelay {
+    delay: f64,
+    out_slew: f64,
+    out_rising: bool,
+    used_in: u64,
+}
+
+/// Sensitized per-pin delays, memoized across [`analyze_sequential`] calls.
+///
+/// Keyed by (cell, pin, input direction, input slew in femtoseconds, output
+/// load in attofarads). Each value is solved at its bucket's representative
+/// slew and load — `slew_fs × 1 fs` (at least 1 fs) and `load_af × 1 aF` —
+/// never at whichever exact values reached the bucket first, so it is a pure
+/// function of its key: an analysis through a warm memo returns exactly the
+/// report an empty memo gives.
+///
+/// The memo records the [`DelayCalculator`] it was filled under and empties
+/// itself when an analysis hands it a different one (another backend,
+/// window or time step). After each successful analysis it keeps only the
+/// shapes that analysis used, so its size stays that of one analysis
+/// however many edits come between analyses.
+///
+/// **Scope: one model library per memo**, as for [`DelayCache`]: the key
+/// identifies the pin shape, not the library it was solved against, so a
+/// memo must only ever be used with one `ModelLibrary`; a caller that swaps
+/// libraries starts a new memo.
+#[derive(Debug, Default)]
+pub struct PinDelayMemo {
+    calculator: Option<DelayCalculator>,
+    entries: HashMap<PinKey, PinDelay>,
+    /// Number of the latest analysis; entries stamped with it were used by
+    /// that analysis.
+    analysis: u64,
+    solves: usize,
+    hits: usize,
+}
+
+impl PinDelayMemo {
+    /// Creates an empty memo.
+    pub fn new() -> Self {
+        PinDelayMemo::default()
+    }
+
+    /// Number of memoized pin shapes.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the memo holds no pin shapes.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Pin shapes the latest analysis had to solve.
+    pub fn solves(&self) -> usize {
+        self.solves
+    }
+
+    /// Pin-delay lookups the latest analysis answered from the memo.
+    pub fn hits(&self) -> usize {
+        self.hits
+    }
+
+    /// Opens an analysis under `calculator`: empties the memo if it was
+    /// filled under another calculator, and resets the per-analysis counts.
+    fn begin(&mut self, calculator: &DelayCalculator) {
+        if self.calculator.as_ref() != Some(calculator) {
+            self.entries.clear();
+            self.calculator = Some(calculator.clone());
+        }
+        self.analysis += 1;
+        self.solves = 0;
+        self.hits = 0;
+    }
+
+    /// Closes a successful analysis: drops every shape it did not use.
+    fn retain_used(&mut self) {
+        let analysis = self.analysis;
+        self.entries.retain(|_, entry| entry.used_in == analysis);
+    }
+}
+
 /// Finds rail values for the non-switching pins that make the output follow
 /// pin `pin`, plus the output direction for a rising/falling input. Returns
 /// `None` if no static side-input assignment sensitizes the pin (which would
@@ -174,20 +267,38 @@ fn sensitize(kind: CellKind, pin: usize) -> Option<(Vec<bool>, bool)> {
     None
 }
 
-/// Computes (and memoizes) the 50 % delay and output slew of one sensitized
-/// pin via a single-gate CSM solve.
+/// The 50 % delay, output transition time and output direction of pin `pin`
+/// of a `kind` gate driven by an `in_slew` ramp into `load`.
+///
+/// A memo hit answers without allocating and stamps the shape as used by the
+/// current analysis. A miss sensitizes the pin and runs one single-gate CSM
+/// solve at the bucket's representative slew and load (see
+/// [`PinDelayMemo`]), then memoizes the result.
 #[allow(clippy::too_many_arguments)]
 fn pin_delay(
     library: &ModelLibrary,
-    options: &SeqTimingOptions,
+    calculator: &DelayCalculator,
     cache: &DelayCache,
-    memo: &mut HashMap<PinKey, (f64, f64)>,
+    memo: &mut PinDelayMemo,
     kind: CellKind,
     pin: usize,
     in_rising: bool,
     in_slew: f64,
     load: f64,
 ) -> Result<(f64, f64, bool), SeqError> {
+    let key = PinKey {
+        kind,
+        pin,
+        in_rising,
+        slew_fs: (in_slew * 1e15).round().max(1.0) as u64,
+        load_af: DelayCache::load_bucket(load),
+    };
+    if let Some(entry) = memo.entries.get_mut(&key) {
+        entry.used_in = memo.analysis;
+        memo.hits += 1;
+        return Ok((entry.delay, entry.out_slew, entry.out_rising));
+    }
+
     let (side_values, out_rises_with_pin) = sensitize(kind, pin).ok_or_else(|| {
         SeqError::Unsupported(format!(
             "no static side-input assignment sensitizes pin {pin} of {}",
@@ -200,19 +311,8 @@ fn pin_delay(
     } else {
         !in_rising
     };
-
-    let key = PinKey {
-        kind,
-        pin,
-        in_rising,
-        slew_fs: (in_slew * 1e15).round().max(0.0) as u64,
-        load_af: (load * 1e18).round().max(0.0) as u64,
-    };
-    if let Some(&(delay, out_slew)) = memo.get(&key) {
-        return Ok((delay, out_slew, out_rising));
-    }
-
-    let calculator = &options.calculator;
+    let in_slew = key.slew_fs as f64 * 1e-15;
+    let load = key.load_af as f64 * 1e-18;
     let vdd = calculator.vdd;
     let t_start = 4.0 * in_slew;
     let t_in50 = t_start + 0.5 * in_slew;
@@ -240,7 +340,16 @@ fn pin_delay(
     })?;
     let out_slew = waveform.transition_time(vdd, out_rising).unwrap_or(in_slew);
     let delay = t_out50 - t_in50;
-    memo.insert(key, (delay, out_slew));
+    memo.solves += 1;
+    memo.entries.insert(
+        key,
+        PinDelay {
+            delay,
+            out_slew,
+            out_rising,
+            used_in: memo.analysis,
+        },
+    );
     Ok((delay, out_slew, out_rising))
 }
 
@@ -250,6 +359,12 @@ fn pin_delay(
 /// The `library` must hold a register model for every register kind (see
 /// `ModelLibrary::characterize_registers`) plus combinational models for the
 /// cone's gates.
+///
+/// Per-pin delays come from `memo`, which solves only the pin shapes it has
+/// not met before (see [`PinDelayMemo`]); a caller that keeps no state
+/// passes `&mut PinDelayMemo::default()`. The report is the same for any
+/// memo. Each call adds its solve and hit counts to the
+/// `seq.pin_delay.{solves,hits}` counters inside a `seq.slack` span.
 ///
 /// # Errors
 ///
@@ -261,6 +376,30 @@ pub fn analyze_sequential(
     library: &ModelLibrary,
     clock: &ClockSpec,
     options: &SeqTimingOptions,
+    memo: &mut PinDelayMemo,
+) -> Result<SlackReport, SeqError> {
+    let mut span = mcsm_obs::span("seq.slack");
+    memo.begin(&options.calculator);
+    let report = analyze(netlist, library, clock, options, memo);
+    if report.is_ok() {
+        memo.retain_used();
+    }
+    span.arg("pin_solves", memo.solves as f64);
+    span.arg("pin_hits", memo.hits as f64);
+    mcsm_obs::counters(&[
+        ("seq.pin_delay.solves", memo.solves as u64),
+        ("seq.pin_delay.hits", memo.hits as u64),
+    ]);
+    report
+}
+
+/// [`analyze_sequential`] inside the memo's analysis bracket.
+fn analyze(
+    netlist: &Netlist,
+    library: &ModelLibrary,
+    clock: &ClockSpec,
+    options: &SeqTimingOptions,
+    memo: &mut PinDelayMemo,
 ) -> Result<SlackReport, SeqError> {
     let seq = SeqNetlist::partition(netlist)?;
     clock.validate().map_err(SeqError::Sta)?;
@@ -280,7 +419,6 @@ pub fn analyze_sequential(
 
     let t0 = epoch_t0(clock);
     let cache = DelayCache::new();
-    let mut memo: HashMap<PinKey, (f64, f64)> = HashMap::new();
 
     // Per-register launch points (50 % crossing of the Q ramp) per direction,
     // shared by cone seeding and direct-path endpoints.
@@ -344,8 +482,15 @@ pub fn analyze_sequential(
                                     continue;
                                 };
                                 let (delay, out_slew, out_rising) = pin_delay(
-                                    library, options, &cache, &mut memo, kind, pin, in_rising,
-                                    slew, load,
+                                    library,
+                                    &options.calculator,
+                                    &cache,
+                                    memo,
+                                    kind,
+                                    pin,
+                                    in_rising,
+                                    slew,
+                                    load,
                                 )?;
                                 let head = (arrival + delay, out_slew);
                                 let out_band = &mut bands[out.index()].bands[dir(out_rising)];

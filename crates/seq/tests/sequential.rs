@@ -6,6 +6,8 @@
 //!   both against a direct Boolean oracle and against a flattened unrolled
 //!   combinational netlist run through `mcsm-netsim`;
 //! * sequential simulation is bit-identical at 1/2/8 worker threads;
+//! * sequential STA through a pin-delay memo shared across netlists reports
+//!   exactly what fresh memos report;
 //! * a deliberately under-constrained clock produces a negative-slack
 //!   register endpoint whose late transition is visible in the epoch
 //!   waveform at the capture instant (the ISSUE acceptance pin).
@@ -19,8 +21,8 @@ use mcsm_net::{pipelined_dag, s27, NetRef, Netlist, NetlistBuilder};
 use mcsm_netsim::{simulate_netlist, NetsimOptions};
 use mcsm_num::testrand::TestRng;
 use mcsm_seq::{
-    analyze_sequential, capture_time, simulate_sequential, CycleInputs, SeqNetlist, SeqOptions,
-    SeqTimingOptions,
+    analyze_sequential, capture_time, simulate_sequential, CycleInputs, PinDelayMemo, SeqNetlist,
+    SeqOptions, SeqTimingOptions,
 };
 use mcsm_sta::{ClockSpec, DelayBackend, DelayCalculator, EndpointKind, ModelLibrary};
 use std::collections::HashMap;
@@ -185,7 +187,8 @@ fn generous_clock_has_positive_slack_everywhere_on_s27() {
     let netlist = s27();
     let clock = ClockSpec::new("CK", 3e-9).with_insertion_override("R6", 40e-12);
     let timing = SeqTimingOptions::new(netsim_options(tech, 6e-9).calculator, PO_LOAD);
-    let report = analyze_sequential(&netlist, library, &clock, &timing).unwrap();
+    let report =
+        analyze_sequential(&netlist, library, &clock, &timing, &mut PinDelayMemo::new()).unwrap();
     // 3 register endpoints + 1 primary output, every one constrained.
     assert_eq!(report.endpoints.len(), 4);
     assert_eq!(report.violations().count(), 0, "report: {report:#?}");
@@ -213,7 +216,8 @@ fn underconstrained_clock_reports_negative_slack_and_the_late_transition_is_in_t
     // per cycle, but the clock gives it 150 ps.
     let clock = ClockSpec::new("CK", 150e-12).with_slew(30e-12);
     let timing = SeqTimingOptions::new(netsim_options(tech, 4e-9).calculator, PO_LOAD);
-    let report = analyze_sequential(&netlist, library, &clock, &timing).unwrap();
+    let report =
+        analyze_sequential(&netlist, library, &clock, &timing, &mut PinDelayMemo::new()).unwrap();
     let worst = report.worst().unwrap().clone();
     assert!(
         worst.setup_slack.unwrap() < 0.0,
@@ -250,6 +254,80 @@ fn underconstrained_clock_reports_negative_slack_and_the_late_transition_is_in_t
         late,
         "no epoch shows any violating register's D net switching inside its setup window"
     );
+}
+
+#[test]
+fn a_shared_pin_delay_memo_reports_exactly_what_fresh_memos_report() {
+    let (tech, library) = library();
+    // Two netlists that share most pin shapes: a pipeline and an ECO'd copy
+    // with one gate retyped and another gate's load nudged by 0.01 aF — the
+    // same attofarad bucket at different exact bits, so a memo that kept
+    // whichever exact load reached a bucket first would answer the second
+    // netlist with the first one's delays.
+    let base = pipelined_dag(3, 4, 7);
+    let mut edited = base.clone();
+    let comb: Vec<_> = edited
+        .gate_refs()
+        .filter(|&g| !edited.gate_kind(g).is_sequential())
+        .collect();
+    let retyped = *comb
+        .iter()
+        .rev()
+        .find(|&&g| edited.gate_kind(g) == CellKind::Nand2)
+        .expect("the pipeline has a NAND2");
+    edited.retype_gate(retyped, CellKind::Nor2).unwrap();
+    let nudged = edited.output_of(comb[0]);
+    edited
+        .set_net_load(nudged, edited.net_load(nudged) + 1e-20)
+        .unwrap();
+    let netlists = [&base, &edited];
+    let clock = ClockSpec::new("clk", 2e-9);
+    let timing = SeqTimingOptions::new(netsim_options(tech, 4e-9).calculator, PO_LOAD);
+    // Reports compare by their Debug text: shortest round-trip floats, so
+    // equal text is bit-identical slack.
+    let analyze = |netlist: &Netlist, timing: &SeqTimingOptions, memo: &mut PinDelayMemo| {
+        let report = analyze_sequential(netlist, library, &clock, timing, memo).unwrap();
+        format!("{report:?}")
+    };
+    let fresh: Vec<(String, usize)> = netlists
+        .iter()
+        .map(|netlist| {
+            let mut memo = PinDelayMemo::new();
+            let report = analyze(netlist, &timing, &mut memo);
+            assert_eq!(memo.solves(), memo.len());
+            (report, memo.len())
+        })
+        .collect();
+
+    for order in [[0, 1], [1, 0]] {
+        let mut memo = PinDelayMemo::new();
+        for (step, &i) in order.iter().enumerate() {
+            let report = analyze(netlists[i], &timing, &mut memo);
+            assert_eq!(report, fresh[i].0, "netlist {i} as analysis {step}");
+            // Pruned to the shapes this analysis used.
+            assert_eq!(memo.len(), fresh[i].1);
+            if step == 1 {
+                assert!(
+                    memo.solves() < fresh[i].1,
+                    "the second analysis re-solved {} of {} shapes",
+                    memo.solves(),
+                    fresh[i].1
+                );
+            }
+        }
+        // Another calculator empties the memo instead of reusing its delays.
+        let baseline = SeqTimingOptions::new(
+            DelayCalculator::new(
+                DelayBackend::BaselineMis,
+                CsmSimOptions::new(4e-9, 2e-12),
+                tech.vdd,
+            ),
+            PO_LOAD,
+        );
+        let report = analyze(&base, &baseline, &mut memo);
+        assert_eq!(report, analyze(&base, &baseline, &mut PinDelayMemo::new()));
+        assert_eq!(memo.solves(), memo.len());
+    }
 }
 
 /// Net name of `net` in unrolled copy `k`: primary inputs and comb-driven

@@ -33,7 +33,7 @@ use mcsm_num::fault::{site, Deadline, FaultPlan};
 use mcsm_num::json::JsonValue;
 use mcsm_seq::{
     analyze_sequential, initial_seq_state, resimulate_cycle, step_cycle, CycleInputs, CycleOutcome,
-    SeqNetlist, SeqOptions, SeqState, SeqTimingOptions,
+    PinDelayMemo, SeqNetlist, SeqOptions, SeqState, SeqTimingOptions,
 };
 use mcsm_sta::delaycalc::{DelayBackend, DelayCache, DelayCalculator, WaveformCache};
 use mcsm_sta::models::ModelLibrary;
@@ -107,7 +107,8 @@ enum Dirty {
 
 /// The resident sequential context of a clocked session: the partitioned
 /// netlist, the clock, and the carried register state, plus the last
-/// committed cycle for epoch-local incremental ECO re-simulation.
+/// committed cycle for epoch-local incremental ECO re-simulation and the
+/// pin-delay memo that `slack` signoffs share.
 #[derive(Debug)]
 struct SeqResident {
     seq: SeqNetlist,
@@ -115,6 +116,12 @@ struct SeqResident {
     pi_slew: f64,
     state: SeqState,
     last: Option<CycleOutcome>,
+    /// Pin delays of earlier signoffs: a `slack` after the first solves only
+    /// the pin shapes no earlier signoff met. Edits need no bookkeeping —
+    /// the memo's values are pure functions of their keys, it empties itself
+    /// on a backend or window change, and it keeps only the shapes the last
+    /// signoff used.
+    memo: PinDelayMemo,
 }
 
 /// The resident circuit: netlist, drives, committed result, dirt tracking.
@@ -241,6 +248,14 @@ fn seq_options(
         options = options.with_initial_state(state);
     }
     options
+}
+
+fn seq_timing(config: &SessionConfig, vdd: f64, pi_slew: f64) -> SeqTimingOptions {
+    SeqTimingOptions::new(
+        config.netsim_options(vdd).calculator,
+        config.primary_output_load,
+    )
+    .with_pi_slew(pi_slew)
 }
 
 fn endpoint_json(e: &mcsm_sta::slack::EndpointSlack) -> JsonValue {
@@ -1031,6 +1046,7 @@ impl Session {
             pi_slew,
             state,
             last: None,
+            memo: PinDelayMemo::new(),
         });
         Ok(response)
     }
@@ -1167,7 +1183,9 @@ impl Session {
 
     /// `slack {}` — sequential signoff timing of the loaded netlist against
     /// the loaded clock: per-endpoint setup/hold slack from characterized
-    /// register windows, worst endpoint first.
+    /// register windows, worst endpoint first. The session's pin-delay memo
+    /// makes every signoff after the first solve only new pin shapes; the
+    /// answer is the same as a fresh analysis.
     fn slack(&mut self) -> Result<JsonValue, ServeError> {
         let Session {
             library,
@@ -1176,17 +1194,19 @@ impl Session {
             ..
         } = self;
         let circuit = circuit
-            .as_ref()
+            .as_mut()
             .ok_or_else(|| ServeError::InvalidParams("no netlist loaded".into()))?;
-        let resident = circuit.sequential.as_ref().ok_or_else(|| {
+        let resident = circuit.sequential.as_mut().ok_or_else(|| {
             ServeError::InvalidParams("no clock loaded — call load_clock first".into())
         })?;
-        let timing = SeqTimingOptions::new(
-            config.netsim_options(library.vdd()).calculator,
-            config.primary_output_load,
-        )
-        .with_pi_slew(resident.pi_slew);
-        let report = analyze_sequential(&circuit.netlist, library, &resident.clock, &timing)?;
+        let timing = seq_timing(config, library.vdd(), resident.pi_slew);
+        let report = analyze_sequential(
+            &circuit.netlist,
+            library,
+            &resident.clock,
+            &timing,
+            &mut resident.memo,
+        )?;
         let violations = report.violations().count();
         let worst = report.worst().map_or(JsonValue::Null, |e| {
             obj(vec![
@@ -1694,6 +1714,140 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.code(), -32000);
         assert!(err.to_string().to_lowercase().contains("clock"), "{err}");
+    }
+
+    #[test]
+    fn a_reload_with_a_finer_time_step_solves_afresh() {
+        let mut session = session();
+        let load_and_read = |session: &mut Session, load: &str| {
+            session.handle("load_netlist", &params(load)).unwrap();
+            session
+                .handle(
+                    "set_drive",
+                    &params(r#"{"net": "N1", "drive": {"kind": "fall"}}"#),
+                )
+                .unwrap();
+            session
+                .handle("waveform", &params(r#"{"net": "N22"}"#))
+                .unwrap()
+        };
+        let samples = |answer: &JsonValue| answer.get("samples").unwrap().as_f64().unwrap();
+        let coarse = load_and_read(
+            &mut session,
+            r#"{"builtin": "c17", "window": 4e-9, "dt": 2e-12}"#,
+        );
+        assert_eq!(samples(&coarse), 2002.0);
+        // Same netlist and drive, half the time step: the waveform memo must
+        // not answer the eventful gates from their 2 ps solves.
+        let fine = load_and_read(&mut session, r#"{"builtin": "c17", "dt": 1e-12}"#);
+        let cache = fine.get("cache").unwrap();
+        assert_eq!(cache.get("waveform_hits").unwrap().as_f64(), Some(0.0));
+        assert!(cache.get("waveform_misses").unwrap().as_f64().unwrap() > 0.0);
+        // ... and the answer is what a session that never saw 2 ps gives.
+        let mut fresh = Session::new(session.library.clone(), session.config.clone());
+        let expected = load_and_read(&mut fresh, r#"{"builtin": "c17"}"#);
+        assert!(samples(&fine) > samples(&coarse));
+        for key in ["samples", "times_s", "values_v"] {
+            assert_eq!(
+                fine.get(key).unwrap().to_string_compact(),
+                expected.get(key).unwrap().to_string_compact(),
+                "{key}"
+            );
+        }
+    }
+
+    /// Signs off through `session` and checks the answer bit for bit against
+    /// a fresh analysis with an empty memo on the session's netlist, and the
+    /// resident memo against the shapes that analysis used. Returns the pin
+    /// shapes the resident signoff solved and the shapes it used.
+    fn signoff_matches_a_fresh_analysis(session: &mut Session) -> (usize, usize) {
+        let answer = session.handle("slack", &params("{}")).unwrap();
+        let circuit = session.circuit.as_ref().unwrap();
+        let resident = circuit.sequential.as_ref().unwrap();
+        let timing = seq_timing(&session.config, session.library.vdd(), resident.pi_slew);
+        let mut fresh = PinDelayMemo::new();
+        let report = analyze_sequential(
+            &circuit.netlist,
+            &session.library,
+            &resident.clock,
+            &timing,
+            &mut fresh,
+        )
+        .unwrap();
+        let expected = JsonValue::Array(report.endpoints.iter().map(endpoint_json).collect());
+        assert_eq!(
+            answer.get("endpoints").unwrap().to_string_compact(),
+            expected.to_string_compact()
+        );
+        // A fresh memo holds exactly the shapes its analysis used.
+        assert_eq!(fresh.solves(), fresh.len());
+        assert_eq!(resident.memo.len(), fresh.len());
+        (resident.memo.solves(), fresh.len())
+    }
+
+    #[test]
+    fn resident_slack_equals_a_fresh_analysis_across_edits() {
+        let mut session = clocked_session();
+        session
+            .handle("load_netlist", &params(r#"{"builtin": "pipeline:4:8"}"#))
+            .unwrap();
+        session
+            .handle("load_clock", &params(r#"{"clock": "clk", "period": 2e-9}"#))
+            .unwrap();
+        // Retype the last NAND2; nudge the load of the first comb gate's
+        // output, upstream of it.
+        let (gate, net) = {
+            let netlist = &session.circuit.as_ref().unwrap().netlist;
+            let comb: Vec<_> = netlist
+                .gate_refs()
+                .filter(|&g| !netlist.gate_kind(g).is_sequential())
+                .collect();
+            let gate = *comb
+                .iter()
+                .rev()
+                .find(|&&g| netlist.gate_kind(g) == CellKind::Nand2)
+                .unwrap();
+            (
+                netlist.gate_name(gate).to_string(),
+                netlist.net_name(netlist.output_of(comb[0])).to_string(),
+            )
+        };
+
+        let (cold, used) = signoff_matches_a_fresh_analysis(&mut session);
+        assert_eq!(cold, used);
+        session
+            .handle(
+                "eco",
+                &params(&format!(
+                    r#"{{"op": "retype_gate", "gate": "{gate}", "cell": "NOR2"}}"#
+                )),
+            )
+            .unwrap();
+        let (after_retype, _) = signoff_matches_a_fresh_analysis(&mut session);
+        assert!(after_retype < cold, "{after_retype} of {cold}");
+        // 0.01 aF keeps the driver's pin shapes in their attofarad buckets
+        // at new exact loads: the memo answers them, and must answer what a
+        // solve at the new load would — hence the representative values.
+        session
+            .handle(
+                "eco",
+                &params(&format!(
+                    r#"{{"op": "set_net_load", "net": "{net}", "farads": 1e-20}}"#
+                )),
+            )
+            .unwrap();
+        signoff_matches_a_fresh_analysis(&mut session);
+        // A backend swap changes every pin delay: the memo starts over.
+        session
+            .handle(
+                "eco",
+                &params(r#"{"op": "swap_backend", "backend": "baseline-mis"}"#),
+            )
+            .unwrap();
+        let (swapped, used) = signoff_matches_a_fresh_analysis(&mut session);
+        assert_eq!(swapped, used);
+        // Nothing changed since the last signoff: no pin is solved again.
+        assert_eq!(signoff_matches_a_fresh_analysis(&mut session).0, 0);
     }
 
     #[test]

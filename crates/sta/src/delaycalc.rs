@@ -243,8 +243,8 @@ impl DelayCache {
     }
 }
 
-/// Key of one memoized gate solve: `(cell kind, backend, canonical hash of
-/// the input drives, exact load bits)`.
+/// Key of one memoized gate solve: `(cell kind, backend, hash of the step
+/// options and the canonical input-drive hashes, exact load bits)`.
 type WaveformKey = (CellKind, BackendKey, u64, u64);
 
 /// A memoization cache for entire gate solves: the output [`Waveform`] keyed
@@ -497,10 +497,11 @@ impl DelayCalculator {
 
     /// Like [`DelayCalculator::gate_output_cached`], additionally memoizing
     /// the **entire gate solve** in a [`WaveformCache`]: when the same cell,
-    /// backend, bit-identical input drives and exact load have been solved
-    /// before, the cached output waveform is returned without touching the
-    /// numerical engine. Pin-count validation still runs on every call, so a
-    /// malformed request is never answered from the cache.
+    /// backend, window, time step, integration scheme, bit-identical input
+    /// drives and exact load have been solved before, the cached output
+    /// waveform is returned without touching the numerical engine. Pin-count
+    /// validation still runs on every call, so a malformed request is never
+    /// answered from the cache.
     ///
     /// Memoized results are bit-identical to [`DelayCalculator::gate_output_cached`]
     /// by construction (exact-bits keys — see [`WaveformCache`]). Both caches
@@ -529,7 +530,13 @@ impl DelayCalculator {
                 inputs.len()
             )));
         }
+        // The step options shape every solve, so a memo that outlives a
+        // window or time-step change must not answer from the old solves.
+        // `sim.eval` stays out: both evaluation modes are bit-identical.
         let mut hasher = mcsm_num::hash::ByteHasher::new();
+        hasher.write_f64(self.sim.t_stop);
+        hasher.write_f64(self.sim.dt);
+        hasher.write_u8(self.sim.integration as u8);
         hasher.write_u64(inputs.len() as u64);
         for drive in inputs {
             hasher.write_u64(drive.canonical_hash());

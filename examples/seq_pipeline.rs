@@ -11,9 +11,10 @@
 //!
 //! This example builds a seeded 3-stage x 4-bit pipeline, clocks it for
 //! eight cycles under toggling inputs, prints the carried register state per
-//! cycle, and then runs signoff timing twice: once at a comfortable 2 ns
-//! period (all slacks positive) and once deliberately under-constrained,
-//! where the worst register endpoint goes negative.
+//! cycle, and then runs signoff timing twice through one pin-delay memo:
+//! once at a comfortable 2 ns period (all slacks positive) and once
+//! deliberately under-constrained, where the worst register endpoint goes
+//! negative and no pin shape needs a new solve.
 //!
 //! Run with `cargo run --release --example seq_pipeline`.
 //! Set `MCSM_BENCH_FAST=1` for coarse characterization grids (CI smoke mode).
@@ -25,7 +26,7 @@ use mcsm::core::config::CharacterizationConfig;
 use mcsm::core::sim::CsmSimOptions;
 use mcsm::net::pipelined_dag;
 use mcsm::netsim::NetsimOptions;
-use mcsm::seq::{analyze_sequential, simulate_sequential, CycleInputs, SeqOptions};
+use mcsm::seq::{analyze_sequential, simulate_sequential, CycleInputs, PinDelayMemo, SeqOptions};
 use mcsm::sta::delaycalc::{DelayBackend, DelayCalculator};
 use mcsm::sta::models::ModelLibrary;
 use mcsm::sta::slack::{ClockSpec, SlackReport};
@@ -136,14 +137,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Signoff timing over the same launch timeline: comfortable, then
     // deliberately under-constrained so the worst endpoint goes negative.
+    // Both reports share one pin-delay memo; the clock moves no pin shape,
+    // so the second report solves none.
     let timing = SeqTimingOptions::new(calculator, 2e-15);
+    let mut memo = PinDelayMemo::new();
     print_report(
         "slack @ 2 ns",
-        &analyze_sequential(&netlist, &library, &clock, &timing)?,
+        &analyze_sequential(&netlist, &library, &clock, &timing, &mut memo)?,
     );
+    println!("  {} pin shapes solved", memo.solves());
     let tight = ClockSpec::new("clk", 150e-12);
-    let report = analyze_sequential(&netlist, &library, &tight, &timing)?;
+    let report = analyze_sequential(&netlist, &library, &tight, &timing, &mut memo)?;
     print_report("slack @ 150 ps", &report);
+    println!("  {} pin shapes solved", memo.solves());
     if let Some(worst) = report.worst() {
         println!(
             "under-constrained worst endpoint: {} ({:.1} ps setup slack)",
