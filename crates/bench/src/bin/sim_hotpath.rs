@@ -1,6 +1,7 @@
 //! The `sim_hotpath` experiment binary: times the cursor-accelerated LUT fast
-//! path against the retained allocating reference path, per model family, and
-//! writes `BENCH_sim.json`.
+//! path against the retained allocating reference path, per model family and
+//! drive form (analytic ramps, and the same ramps as PWL drives on the
+//! engine's time grid), and writes `BENCH_sim.json`.
 //!
 //! ```text
 //! sim_hotpath [--out PATH] [--min-speedup X] [--max-obs-overhead PCT]
@@ -89,8 +90,9 @@ fn main() -> ExitCode {
     println!("gates per family pass: {}", report.gates);
     for case in &report.cases {
         println!(
-            "{:>13}: {:.0} steps/s fast vs {:.0} steps/s reference ({:.2}x, {:.2}M evals/s, bit-identical: {})",
+            "{:>13} {:>4}: {:.0} steps/s fast vs {:.0} steps/s reference ({:.2}x, {:.2}M evals/s, bit-identical: {})",
             case.family,
+            case.drives,
             case.fast_steps_per_second(),
             case.reference_steps_per_second(),
             case.speedup(),

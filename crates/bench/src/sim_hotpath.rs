@@ -8,10 +8,13 @@
 //! the generic simulation engine **twice per model family**: once on the
 //! cursor-accelerated allocation-free fast path ([`EvalMode::Fast`]) and once
 //! on the retained allocating `LutNd::eval` reference path
-//! ([`EvalMode::Reference`]). It reports engine steps/sec and LUT evals/sec
-//! per family, checks the two paths **bit-identical**, and the `sim_hotpath`
-//! binary gates CI on a minimum fast-over-reference speedup
-//! (`BENCH_sim.json`).
+//! ([`EvalMode::Reference`]). Every family runs twice more with each ramp
+//! rendered on the engine's time grid as a PWL drive
+//! ([`DriveWaveform::from_waveform`]), the form netsim hands a driver's
+//! output to its fanout, so the sampled-drive lookup is timed too. It
+//! reports engine steps/sec and LUT evals/sec per family and drive form,
+//! checks the two paths **bit-identical**, and the `sim_hotpath` binary
+//! gates CI on a minimum fast-over-reference speedup (`BENCH_sim.json`).
 //!
 //! Honors `MCSM_BENCH_FAST=1` (see [`crate::report::fast_mode`]).
 
@@ -24,12 +27,18 @@ use mcsm_core::eval::EvalMode;
 use mcsm_core::model::CellModel;
 use mcsm_core::sim::{simulate, CsmSimOptions, DriveWaveform, SimResult};
 use mcsm_num::json::JsonValue;
+use mcsm_spice::waveform::Waveform;
 use mcsm_sta::models::ModelLibrary;
 use mcsm_sta::StaError;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Model families the experiment times, in report order.
 pub const HOTPATH_FAMILIES: [&str; 3] = ["sis", "baseline_mis", "complete_mcsm"];
+
+/// Drive forms each family runs with, in report order: analytic ramps, and
+/// the same ramps as PWL drives sampled on the engine's time grid.
+pub const HOTPATH_DRIVES: [&str; 2] = ["ramp", "pwl"];
 
 /// Configuration of one sim-hotpath run.
 #[derive(Debug, Clone)]
@@ -78,6 +87,8 @@ struct GateTask<'a> {
 pub struct HotpathCase {
     /// Family key (one of [`HOTPATH_FAMILIES`]).
     pub family: String,
+    /// Drive form (one of [`HOTPATH_DRIVES`]).
+    pub drives: String,
     /// Gate simulations per timed pass.
     pub sims: usize,
     /// Engine sub-steps per pass (identical for both paths).
@@ -160,6 +171,7 @@ impl SimHotpathReport {
                         .map(|case| {
                             JsonValue::Object(vec![
                                 ("family".into(), JsonValue::String(case.family.clone())),
+                                ("drives".into(), JsonValue::String(case.drives.clone())),
                                 ("sims".into(), JsonValue::Number(case.sims as f64)),
                                 ("steps".into(), JsonValue::Number(case.steps as f64)),
                                 ("lut_evals".into(), JsonValue::Number(case.lut_evals as f64)),
@@ -245,6 +257,32 @@ fn family_tasks<'a>(
     Ok(tasks)
 }
 
+/// The same tasks with every drive rendered on the engine's time grid for
+/// `options` (`k · dt`, with `dt` derived from `t_stop` as the engine does)
+/// and handed over as [`DriveWaveform::from_waveform`], as netsim hands a
+/// solved output to its fanout gates.
+fn pwl_tasks<'a>(tasks: &[GateTask<'a>], options: &CsmSimOptions) -> Vec<GateTask<'a>> {
+    let steps = (options.t_stop / options.dt).ceil() as usize;
+    let dt = options.t_stop / steps as f64;
+    let times = Arc::new((0..=steps).map(|k| k as f64 * dt).collect::<Vec<_>>());
+    tasks
+        .iter()
+        .map(|task| GateTask {
+            inputs: task
+                .inputs
+                .iter()
+                .map(|drive| {
+                    let values = times.iter().map(|&t| drive.eval(t)).collect();
+                    let waveform = Waveform::with_shared_times(Arc::clone(&times), values)
+                        .expect("the engine grid is strictly increasing");
+                    DriveWaveform::from_waveform(waveform)
+                })
+                .collect(),
+            ..*task
+        })
+        .collect()
+}
+
 /// Runs every task once in the given evaluation mode, returning the results
 /// and the wall-clock seconds of the pass.
 fn run_pass(
@@ -268,8 +306,8 @@ fn run_pass(
     Ok((results, start.elapsed().as_secs_f64()))
 }
 
-/// Runs the experiment: characterize once, then time every family fast vs
-/// reference over the generated gate workload.
+/// Runs the experiment: characterize once, then time every family and drive
+/// form fast vs reference over the generated gate workload.
 ///
 /// # Errors
 ///
@@ -288,31 +326,35 @@ pub fn run_sim_hotpath(options: &SimHotpathOptions) -> Result<SimHotpathReport, 
 
     let mut cases = Vec::new();
     for family in HOTPATH_FAMILIES {
-        let tasks = family_tasks(&library, &netlists, family, technology.vdd)?;
-        let mut fast_seconds = f64::INFINITY;
-        let mut reference_seconds = f64::INFINITY;
-        let mut fast_results = Vec::new();
-        let mut reference_results = Vec::new();
-        for _ in 0..options.repeats.max(1) {
-            let (results, seconds) = run_pass(&tasks, &sim_options, EvalMode::Fast)?;
-            fast_seconds = fast_seconds.min(seconds);
-            fast_results = results;
-            let (results, seconds) = run_pass(&tasks, &sim_options, EvalMode::Reference)?;
-            reference_seconds = reference_seconds.min(seconds);
-            reference_results = results;
+        let ramp_tasks = family_tasks(&library, &netlists, family, technology.vdd)?;
+        let pwl_tasks = pwl_tasks(&ramp_tasks, &sim_options);
+        for (drives, tasks) in HOTPATH_DRIVES.into_iter().zip([ramp_tasks, pwl_tasks]) {
+            let mut fast_seconds = f64::INFINITY;
+            let mut reference_seconds = f64::INFINITY;
+            let mut fast_results = Vec::new();
+            let mut reference_results = Vec::new();
+            for _ in 0..options.repeats.max(1) {
+                let (results, seconds) = run_pass(&tasks, &sim_options, EvalMode::Fast)?;
+                fast_seconds = fast_seconds.min(seconds);
+                fast_results = results;
+                let (results, seconds) = run_pass(&tasks, &sim_options, EvalMode::Reference)?;
+                reference_seconds = reference_seconds.min(seconds);
+                reference_results = results;
+            }
+            let bit_identical = fast_results == reference_results;
+            let steps: u64 = fast_results.iter().map(|r| r.steps).sum();
+            let lut_evals: u64 = fast_results.iter().map(|r| r.lut_evals).sum();
+            cases.push(HotpathCase {
+                family: family.to_string(),
+                drives: drives.to_string(),
+                sims: tasks.len(),
+                steps,
+                lut_evals,
+                fast_seconds,
+                reference_seconds,
+                bit_identical,
+            });
         }
-        let bit_identical = fast_results == reference_results;
-        let steps: u64 = fast_results.iter().map(|r| r.steps).sum();
-        let lut_evals: u64 = fast_results.iter().map(|r| r.lut_evals).sum();
-        cases.push(HotpathCase {
-            family: family.to_string(),
-            sims: tasks.len(),
-            steps,
-            lut_evals,
-            fast_seconds,
-            reference_seconds,
-            bit_identical,
-        });
     }
 
     Ok(SimHotpathReport { gates, cases })
@@ -392,6 +434,7 @@ mod tests {
             gates: 10,
             cases: vec![HotpathCase {
                 family: "complete_mcsm".into(),
+                drives: "pwl".into(),
                 sims: 10,
                 steps: 2000,
                 lut_evals: 16000,
@@ -410,6 +453,7 @@ mod tests {
         assert_eq!(json.require("gates").unwrap().as_f64(), Some(10.0));
         let cases = json.require("cases").unwrap().as_array().unwrap();
         assert_eq!(cases[0].require("speedup").unwrap().as_f64(), Some(3.0));
+        assert_eq!(cases[0].require("drives").unwrap().as_str(), Some("pwl"));
         let reparsed = JsonValue::parse(&json.to_string_pretty()).unwrap();
         assert_eq!(reparsed, json);
     }
@@ -424,7 +468,8 @@ mod tests {
             repeats: 1,
         };
         let report = run_sim_hotpath(&options).unwrap();
-        assert_eq!(report.cases.len(), 3);
+        assert_eq!(report.cases.len(), 6);
+        assert_eq!(report.cases[1].drives, "pwl");
         assert!(report.all_identical(), "fast path diverged from reference");
         for case in &report.cases {
             assert!(case.sims > 0);

@@ -38,11 +38,18 @@ use crate::eval::EvalState;
 /// once per run by [`make_eval_state`]) keeps the table lookups themselves
 /// allocation-free and O(1) amortized across consecutive sub-steps.
 ///
+/// [`currents`] and [`capacitances`] must be pure functions of (pins, state,
+/// output voltage): the [`EvalState`] only speeds the lookups up and never
+/// changes a result bit. The simulation engine relies on this when one
+/// evaluation serves both its step-size probe and its first sub-step.
+///
 /// The sign convention for every current is *into the cell*: positive output
 /// current discharges the output, positive state current discharges its state
 /// node — matching the paper's Eqs. (4)–(5).
 ///
 /// [`make_eval_state`]: CellModel::make_eval_state
+/// [`currents`]: CellModel::currents
+/// [`capacitances`]: CellModel::capacitances
 pub trait CellModel {
     /// Name of the characterized cell (e.g. `"NOR2"`).
     fn cell_name(&self) -> &str;

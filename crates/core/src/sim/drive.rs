@@ -54,10 +54,19 @@ impl DriveWaveform {
 
     /// Evaluates the drive at time `t` (seconds).
     pub fn eval(&self, t: f64) -> f64 {
+        self.eval_hinted(t, &mut 0)
+    }
+
+    /// [`DriveWaveform::eval`] for a caller stepping forward in time: for a
+    /// sampled drive, `hint` carries the sample interval of the previous
+    /// query to the next ([`Waveform::value_at_hinted`]), so each step's
+    /// lookup is O(1) instead of a binary search. Analytic drives ignore it.
+    /// Bit-identical to `eval` for any hint.
+    pub fn eval_hinted(&self, t: f64, hint: &mut usize) -> f64 {
         match self {
             DriveWaveform::Analytic(w) => w.eval(t),
-            DriveWaveform::Sampled(w) => w.value_at(t),
-            DriveWaveform::Pwl(w) => w.value_at(t),
+            DriveWaveform::Sampled(w) => w.value_at_hinted(t, hint),
+            DriveWaveform::Pwl(w) => w.value_at_hinted(t, hint),
         }
     }
 

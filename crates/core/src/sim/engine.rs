@@ -17,6 +17,15 @@
 //!   re-evaluates the currents at the predicted end point and averages
 //!   (trapezoidal in the current), which tolerates larger time steps.
 //!
+//! Each time step first probes the whole step to choose how many sub-steps
+//! to split it into, then takes them. Every time point is evaluated once:
+//! the probe starts where the first sub-step starts, so its table lookups
+//! serve that sub-step too; the pin voltages at a step's end start the next
+//! step; and each sampled drive is read through a search hint that follows
+//! the run forward ([`DriveWaveform::eval_hinted`]). None of this changes a
+//! result bit — every sub-step time is computed as it always was, and a
+//! value is reused only where it was computed at the same time bits.
+//!
 //! The entry point for callers is the [`Simulation`] builder:
 //!
 //! ```no_run
@@ -118,10 +127,16 @@ pub struct SimResult {
     /// (empty for stateless models). Every trace shares one time vector with
     /// `output` — an N-state model does not clone the time axis N+1 times.
     pub state_traces: Vec<Waveform>,
-    /// Engine sub-steps executed (the probe plus every sub-step of every time
-    /// step) — the unit the `sim_hotpath` benchmark reports as steps/sec.
+    /// Engine sub-steps executed: per time step, the probe that picks the
+    /// sub-step count plus every sub-step — the unit the `sim_hotpath`
+    /// benchmark reports as steps/sec. The probe shares its table evaluation
+    /// with the first sub-step, so `steps` minus the number of time steps is
+    /// the number of model evaluations.
     pub steps: u64,
-    /// Lookup-table evaluations the model performed during the run.
+    /// Lookup-table evaluations the model performed during the run: one
+    /// model evaluation (every current and capacitance table) per sub-step,
+    /// plus, under [`CsmIntegration::PredictorCorrector`], one evaluation of
+    /// the current tables per counted step for the corrector.
     pub lut_evals: u64,
 }
 
@@ -157,9 +172,14 @@ fn substeps_for(deltas: &[f64]) -> usize {
 
 /// Scratch buffers and the per-substep update shared by every model family.
 ///
-/// One `advance` call applies the paper's explicit update (Eq. 4 for the output
-/// node, Eq. 5 for each internal state node) over `h` seconds, optionally
-/// refined by one trapezoidal corrector pass.
+/// A sub-step is two calls. [`Stepper::evaluate`] looks up every capacitance
+/// and current at the sub-step's start (pins, state, output), and
+/// [`Stepper::step`] applies the paper's explicit update (Eq. 4 for the
+/// output node, Eq. 5 for each internal state node) over `h` seconds from
+/// those values, optionally refined by one trapezoidal corrector pass. The
+/// split lets the engine's probe and its first sub-step, which start from the
+/// same point, share one evaluation: the model evaluates as a pure function
+/// of (pins, state, output) (see [`CellModel`]).
 ///
 /// The stepper owns the model's [`EvalState`] — one lookup cursor per table —
 /// so every table query across the whole run goes through cursors that follow
@@ -170,6 +190,7 @@ struct Stepper<'m> {
     vdd: f64,
     corrector: bool,
     eval: EvalState,
+    c_o: f64,
     miller: Vec<f64>,
     state_caps: Vec<f64>,
     currents: Vec<f64>,
@@ -189,6 +210,7 @@ impl<'m> Stepper<'m> {
             vdd: model.vdd(),
             corrector,
             eval,
+            c_o: 0.0,
             miller: vec![0.0; n_pins],
             state_caps: vec![0.0; n_state],
             currents: vec![0.0; 1 + n_state],
@@ -197,10 +219,27 @@ impl<'m> Stepper<'m> {
         }
     }
 
+    /// Evaluates the model's capacitances and currents at (`pins`, `state`,
+    /// `v_out`), the start point of the following [`Stepper::step`] calls.
+    fn evaluate(&mut self, pins: &[f64], state: &[f64], v_out: f64) {
+        self.c_o = self.model.capacitances(
+            &mut self.eval,
+            pins,
+            state,
+            v_out,
+            &mut self.miller,
+            &mut self.state_caps,
+        );
+        self.model
+            .currents(&mut self.eval, pins, state, v_out, &mut self.currents);
+    }
+
     /// Advances the state from (`state`, `v_out`) over `h` seconds while the pin
-    /// voltages move from `pins0` to `pins1`. Writes the (unclamped) next state
-    /// into `next_state` and returns the (unclamped) next output voltage.
-    fn advance(
+    /// voltages move from `pins0` to `pins1`, using the last
+    /// [`Stepper::evaluate`], which must have been at (`pins0`, `state`,
+    /// `v_out`). Writes the (unclamped) next state into `next_state` and
+    /// returns the (unclamped) next output voltage.
+    fn step(
         &mut self,
         pins0: &[f64],
         pins1: &[f64],
@@ -209,18 +248,7 @@ impl<'m> Stepper<'m> {
         h: f64,
         next_state: &mut [f64],
     ) -> f64 {
-        let c_o = self.model.capacitances(
-            &mut self.eval,
-            pins0,
-            state,
-            v_out,
-            &mut self.miller,
-            &mut self.state_caps,
-        );
-        self.model
-            .currents(&mut self.eval, pins0, state, v_out, &mut self.currents);
-
-        let mut denom = self.load + c_o;
+        let mut denom = self.load + self.c_o;
         let mut miller_kick = 0.0;
         for (i, &cm) in self.miller.iter().enumerate() {
             denom += cm;
@@ -318,13 +346,21 @@ pub fn simulate(
     let steps = (options.t_stop / options.dt).ceil() as usize;
     let dt = options.t_stop / steps as f64;
 
-    let eval_pins = |t: f64, out: &mut Vec<f64>| {
-        out.clear();
-        out.extend(inputs.iter().map(|w| w.eval(t)));
+    // One search hint per pin: the engine reads every drive forward in time,
+    // so a sampled drive finds each time point from the last one in O(1).
+    let mut hints = vec![0; n_pins];
+    let mut sample_pins = |t: f64, out: &mut [f64]| {
+        for ((pin, drive), hint) in out.iter_mut().zip(inputs).zip(&mut hints) {
+            *pin = drive.eval_hinted(t, hint);
+        }
     };
 
-    let mut pins0 = Vec::with_capacity(n_pins);
-    let mut pins1 = Vec::with_capacity(n_pins);
+    // Pin voltages at the start of the current (sub-)step, at its end, and
+    // at the end of the current time step.
+    let mut pins0 = vec![0.0; n_pins];
+    let mut pins1 = vec![0.0; n_pins];
+    let mut pins_next = vec![0.0; n_pins];
+    sample_pins(0.0, &mut pins0);
 
     let mut v_out = v_out_initial;
     let mut state = match initial_state {
@@ -345,7 +381,6 @@ pub fn simulate(
         }
         None => {
             let mut s = vec![0.0; n_state];
-            eval_pins(0.0, &mut pins0);
             model.equilibrium_state(&pins0, v_out_initial, &mut s);
             s
         }
@@ -367,15 +402,22 @@ pub fn simulate(
     let mut deltas = vec![0.0; 1 + n_state];
     let mut substeps: u64 = 0;
 
+    // Every time point is sampled and evaluated once. `pins0` enters each
+    // step holding the pins at `t_prev`: the previous step's `t_next` has the
+    // same bits. A sub-step time is computed exactly as the sub-step count
+    // dictates, and a pin vector is reused only when it was sampled at the
+    // same bits, so results do not depend on the reuse.
     for k in 0..steps {
         let t_prev = k as f64 * dt;
         let t_next = (k + 1) as f64 * dt;
-        eval_pins(t_prev, &mut pins0);
-        eval_pins(t_next, &mut pins1);
+        sample_pins(t_next, &mut pins_next);
 
         // Probe the full step to decide how finely to subdivide it: an
-        // internal-node time constant can be much shorter than `dt`.
-        let probe_out = stepper.advance(&pins0, &pins1, &state, v_out, dt, &mut probe_state);
+        // internal-node time constant can be much shorter than `dt`. The
+        // probe starts where sub-step 0 starts (`t_prev + 0 · h == t_prev`),
+        // so its evaluation serves sub-step 0 as well.
+        stepper.evaluate(&pins0, &state, v_out);
+        let probe_out = stepper.step(&pins0, &pins_next, &state, v_out, dt, &mut probe_state);
         deltas[0] = probe_out - v_out;
         for j in 0..n_state {
             deltas[1 + j] = probe_state[j] - state[j];
@@ -383,17 +425,31 @@ pub fn simulate(
         let n_sub = substeps_for(&deltas);
         substeps += 1 + n_sub as u64;
         let h = dt / n_sub as f64;
+        // The time `pins0` was sampled at.
+        let mut t_sampled = t_prev;
         for s in 0..n_sub {
             let t0 = t_prev + s as f64 * h;
             let t1 = t0 + h;
-            eval_pins(t0, &mut pins0);
-            eval_pins(t1, &mut pins1);
-            let next_out = stepper.advance(&pins0, &pins1, &state, v_out, h, &mut next_state);
+            if s > 0 {
+                if t0.to_bits() != t_sampled.to_bits() {
+                    sample_pins(t0, &mut pins0);
+                }
+                stepper.evaluate(&pins0, &state, v_out);
+            }
+            if t1.to_bits() == t_next.to_bits() {
+                pins1.copy_from_slice(&pins_next);
+            } else {
+                sample_pins(t1, &mut pins1);
+            }
+            let next_out = stepper.step(&pins0, &pins1, &state, v_out, h, &mut next_state);
             v_out = clamp_voltage(next_out, vdd);
             for j in 0..n_state {
                 state[j] = clamp_voltage(next_state[j], vdd);
             }
+            std::mem::swap(&mut pins0, &mut pins1);
+            t_sampled = t1;
         }
+        std::mem::swap(&mut pins0, &mut pins_next);
 
         // Divergence check: `clamp_voltage` bounds finite values but passes
         // NaN through unchanged (IEEE-754 `clamp` of NaN is NaN), so a
@@ -728,6 +784,174 @@ mod tests {
             .output;
         assert!(out.value_at(0.0) > 1.1);
         assert!(out.final_value() < 0.2);
+    }
+
+    /// One staggered falling ramp per pin: analytic, or rendered as a PWL
+    /// drive sampled at `times`.
+    fn staggered_ramps(n_pins: usize, times: Option<&[f64]>) -> Vec<DriveWaveform> {
+        (0..n_pins)
+            .map(|pin| {
+                let ramp = DriveWaveform::falling_ramp(1.2, 0.2e-9 + 30e-12 * pin as f64, 60e-12);
+                match times {
+                    None => ramp,
+                    Some(times) => DriveWaveform::from_waveform(
+                        Waveform::new(
+                            times.to_vec(),
+                            times.iter().map(|&t| ramp.eval(t)).collect(),
+                        )
+                        .unwrap(),
+                    ),
+                }
+            })
+            .collect()
+    }
+
+    /// The engine's own time grid for `options`: `k · dt` with the step it
+    /// derives from `t_stop`.
+    fn engine_grid(options: &CsmSimOptions) -> Vec<f64> {
+        let steps = (options.t_stop / options.dt).ceil() as usize;
+        let dt = options.t_stop / steps as f64;
+        (0..=steps).map(|k| k as f64 * dt).collect()
+    }
+
+    /// Digest of everything a run computes: the output trace, every state
+    /// trace and the engine step count.
+    fn result_digest(result: &SimResult) -> u64 {
+        let mut hasher = mcsm_num::hash::ByteHasher::new();
+        hasher.write_f64_slice(result.output.times());
+        hasher.write_f64_slice(result.output.values());
+        for trace in &result.state_traces {
+            hasher.write_f64_slice(trace.values());
+        }
+        hasher.write_u64(result.steps);
+        hasher.finish()
+    }
+
+    #[test]
+    fn results_match_digests_recorded_before_the_probe_shared_its_evaluation() {
+        let mcsm = synthetic_model();
+        let baseline = synthetic_baseline();
+        let sis = synthetic_sis();
+        let models: [(&str, &dyn CellModel); 3] =
+            [("mcsm", &mcsm), ("baseline", &baseline), ("sis", &sis)];
+        let fine = CsmSimOptions::new(1.2e-9, 1e-12);
+        let coarse = CsmSimOptions::new(1.2e-9, 8e-12);
+        let off_grid: Vec<f64> = (0..1700).map(|i| 0.37e-12 + i as f64 * 0.71e-12).collect();
+        let mut digests = Vec::new();
+        for (family, model) in models {
+            let n_pins = model.num_pins();
+            let cases = [
+                ("ramp", &fine, staggered_ramps(n_pins, None)),
+                (
+                    "pwl_on_grid",
+                    &fine,
+                    staggered_ramps(n_pins, Some(&engine_grid(&fine))),
+                ),
+                (
+                    "pwl_off_grid",
+                    &fine,
+                    staggered_ramps(n_pins, Some(&off_grid)),
+                ),
+                (
+                    "pwl_substeps",
+                    &coarse,
+                    staggered_ramps(n_pins, Some(&engine_grid(&coarse))),
+                ),
+            ];
+            for integration in [CsmIntegration::Explicit, CsmIntegration::PredictorCorrector] {
+                for (drive, options, inputs) in &cases {
+                    let mut options = (*options).clone();
+                    options.integration = integration;
+                    let result = Simulation::of(model)
+                        .inputs(inputs)
+                        .load(2e-15)
+                        .options(options.clone())
+                        .run()
+                        .unwrap();
+                    if *drive == "pwl_substeps" {
+                        let outer = engine_grid(&options).len() as u64 - 1;
+                        assert!(result.steps > 2 * outer, "no step was subdivided");
+                    }
+                    digests.push(format!(
+                        "{family} {integration:?} {drive} {:016x}",
+                        result_digest(&result)
+                    ));
+                }
+            }
+        }
+        // Recorded from the engine that evaluated every probe afresh and
+        // binary-searched every PWL sample (the same cases, run before the
+        // engine change).
+        let recorded = [
+            "mcsm Explicit ramp bac47c9f8b7eb4f6",
+            "mcsm Explicit pwl_on_grid fec526812206faed",
+            "mcsm Explicit pwl_off_grid 51e37bc1057a9d17",
+            "mcsm Explicit pwl_substeps 99ed2c0e7880b4a5",
+            "mcsm PredictorCorrector ramp 639bb13610a02f5f",
+            "mcsm PredictorCorrector pwl_on_grid 469b56bb442caa1d",
+            "mcsm PredictorCorrector pwl_off_grid 8922791b6e5e909f",
+            "mcsm PredictorCorrector pwl_substeps c80b1b60acdea255",
+            "baseline Explicit ramp 29dcfaeed179fdd8",
+            "baseline Explicit pwl_on_grid 777a72374da61f42",
+            "baseline Explicit pwl_off_grid 60725e30502e1bc8",
+            "baseline Explicit pwl_substeps 3e5fd5091476c637",
+            "baseline PredictorCorrector ramp d0a55d782cc8c8f8",
+            "baseline PredictorCorrector pwl_on_grid 22526a9ab73697d9",
+            "baseline PredictorCorrector pwl_off_grid caf7b71df73b8d11",
+            "baseline PredictorCorrector pwl_substeps 64027c1226894e59",
+            "sis Explicit ramp b55e10df7c0712dd",
+            "sis Explicit pwl_on_grid c94d2ab20573c7c8",
+            "sis Explicit pwl_off_grid 43956853c8fbd32c",
+            "sis Explicit pwl_substeps 0952e9ed37bb625f",
+            "sis PredictorCorrector ramp eb1468b125982bfb",
+            "sis PredictorCorrector pwl_on_grid 5abb5932a2be8d0b",
+            "sis PredictorCorrector pwl_off_grid 1fefc11eb8825948",
+            "sis PredictorCorrector pwl_substeps 6ae2efbddebe20a5",
+        ];
+        assert_eq!(digests, recorded);
+    }
+
+    #[test]
+    fn each_sub_step_evaluates_the_tables_once_and_the_probe_adds_nothing() {
+        let mcsm = synthetic_model();
+        let baseline = synthetic_baseline();
+        let sis = synthetic_sis();
+        let models: [&dyn CellModel; 3] = [&mcsm, &baseline, &sis];
+        for model in models {
+            let pins = vec![0.6; model.num_pins()];
+            let state = vec![0.6; model.num_state_nodes()];
+            let (mut miller, mut caps) = (pins.clone(), state.clone());
+            let mut currents = vec![0.0; 1 + state.len()];
+            let mut eval = model.make_eval_state();
+            model.currents(&mut eval, &pins, &state, 0.6, &mut currents);
+            let per_currents = eval.lookups();
+            model.capacitances(&mut eval, &pins, &state, 0.6, &mut miller, &mut caps);
+            let per_evaluation = eval.lookups();
+
+            for integration in [CsmIntegration::Explicit, CsmIntegration::PredictorCorrector] {
+                let mut options = CsmSimOptions::new(1.2e-9, 8e-12);
+                options.integration = integration;
+                let result = Simulation::of(model)
+                    .inputs(&staggered_ramps(model.num_pins(), None))
+                    .load(2e-15)
+                    .options(options.clone())
+                    .run()
+                    .unwrap();
+                // `steps` counts each time step's probe plus its sub-steps.
+                let outer = engine_grid(&options).len() as u64 - 1;
+                let sub_steps = result.steps - outer;
+                assert!(sub_steps > outer, "no step was subdivided");
+                let corrector = match integration {
+                    CsmIntegration::Explicit => 0,
+                    CsmIntegration::PredictorCorrector => per_currents * result.steps,
+                };
+                assert_eq!(
+                    result.lut_evals,
+                    per_evaluation * sub_steps + corrector,
+                    "{integration:?}: one evaluation per sub-step, none for the probe"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! normalized RMSE between a model waveform and a SPICE reference.
 
 use crate::error::SpiceError;
-use mcsm_num::interp::{first_crossing, interp1_increasing, resample};
+use mcsm_num::interp::{first_crossing, interp1_hinted, interp1_increasing, resample};
 use mcsm_num::stats;
 use std::sync::Arc;
 
@@ -105,12 +105,20 @@ impl Waveform {
 
     /// Linearly interpolated value at time `t` (clamped outside the range).
     ///
-    /// Construction already checked the times, so this is a plain binary
-    /// search ([`interp1_increasing`]): O(log n) per call, where re-checking
-    /// the whole time vector on every call would make each drive evaluation
-    /// O(n).
+    /// Construction already checked the times, so this is a search without
+    /// the check ([`interp1_increasing`]): O(log n) per call, where
+    /// re-checking the whole time vector on every call would make each drive
+    /// evaluation O(n).
     pub fn value_at(&self, t: f64) -> f64 {
         interp1_increasing(&self.times, &self.values, t)
+    }
+
+    /// [`Waveform::value_at`] for a caller reading the waveform forward in
+    /// time: `hint` carries the sample interval of the previous query to the
+    /// next ([`interp1_hinted`]), so a query a few samples on from the last
+    /// one costs O(1). Bit-identical to `value_at` for any hint.
+    pub fn value_at_hinted(&self, t: f64, hint: &mut usize) -> f64 {
+        interp1_hinted(&self.times, &self.values, t, hint)
     }
 
     /// Canonical content hash of the waveform: a seed-free FNV-1a over the
