@@ -3,7 +3,7 @@
 //! and writes `BENCH_netsim.json`.
 //!
 //! ```text
-//! netsim [--threads N] [--out PATH] [--min-speedup X]
+//! netsim [--threads N] [--out PATH] [--min-speedup X] [--min-gates-per-sec R]
 //! ```
 //!
 //! * `--threads N` — worker threads for the parallel passes (default `0` =
@@ -14,6 +14,11 @@
 //!   sequential-over-parallel speedup of the full-activity tree/DAG cases is
 //!   at least `X` (chains are width-1, so level parallelism cannot apply to
 //!   them; bit-identity failures always exit non-zero).
+//! * `--min-gates-per-sec R` — CI throughput floor: exit non-zero unless the
+//!   complete-MCSM full-activity chain with the most gates
+//!   (`nand_chain_48` in fast mode) runs at least `R` gates per second.
+//!   Set well below the committed figure, it trips on a several-fold
+//!   slowdown of the engine or its drive lookups, not on a slow runner.
 //!
 //! `MCSM_BENCH_FAST=1` shrinks sizes and grids for smoke runs.
 
@@ -25,6 +30,7 @@ struct Args {
     threads: usize,
     out: PathBuf,
     min_speedup: Option<f64>,
+    min_gates_per_sec: Option<f64>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -32,6 +38,7 @@ fn parse_args() -> Result<Args, String> {
         threads: 0,
         out: PathBuf::from("BENCH_netsim.json"),
         min_speedup: None,
+        min_gates_per_sec: None,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
@@ -48,6 +55,13 @@ fn parse_args() -> Result<Args, String> {
                     value("--min-speedup")?
                         .parse()
                         .map_err(|e| format!("--min-speedup: {e}"))?,
+                );
+            }
+            "--min-gates-per-sec" => {
+                args.min_gates_per_sec = Some(
+                    value("--min-gates-per-sec")?
+                        .parse()
+                        .map_err(|e| format!("--min-gates-per-sec: {e}"))?,
                 );
             }
             other => return Err(format!("unknown flag `{other}`")),
@@ -129,6 +143,24 @@ fn main() -> ExitCode {
             eprintln!("netsim: parallel speedup {speedup:.2}x is below the {min:.2}x gate");
             return ExitCode::FAILURE;
         }
+    }
+    if let Some(min) = args.min_gates_per_sec {
+        let Some(case) = report.floor_case() else {
+            eprintln!("netsim: no complete-MCSM full-activity chain to check the gates/s floor on");
+            return ExitCode::FAILURE;
+        };
+        let rate = case.gates_per_second();
+        if rate < min {
+            eprintln!(
+                "netsim: {} (complete_mcsm, full) ran {rate:.1} gates/s, below the {min:.1} gates/s floor",
+                case.circuit
+            );
+            return ExitCode::FAILURE;
+        }
+        println!(
+            "gates/s floor: {} (complete_mcsm, full) {rate:.1} >= {min:.1}",
+            case.circuit
+        );
     }
     ExitCode::SUCCESS
 }

@@ -238,6 +238,22 @@ impl NetsimReport {
         self.aggregate_speedup(|case| case.activity == "full" && case.topology != "chain")
     }
 
+    /// The case the CI gates/s floor checks: the complete-MCSM full-activity
+    /// chain with the most gates (`nand_chain_48` in fast mode). Its window
+    /// grows with depth, so each gate solve takes the most engine steps of
+    /// any case, and a per-step or per-sample cost in the engine or its drive
+    /// lookups shows there first.
+    pub fn floor_case(&self) -> Option<&NetsimCase> {
+        self.cases
+            .iter()
+            .filter(|case| {
+                case.family == "complete_mcsm"
+                    && case.topology == "chain"
+                    && case.activity == "full"
+            })
+            .max_by_key(|case| case.gates)
+    }
+
     fn aggregate_speedup(&self, keep: impl Fn(&NetsimCase) -> bool) -> f64 {
         let (seq, par) = self
             .cases
@@ -455,6 +471,41 @@ mod tests {
         );
         let reparsed = JsonValue::parse(&json.to_string_pretty()).unwrap();
         assert_eq!(reparsed, json);
+    }
+
+    #[test]
+    fn the_floor_checks_the_deepest_complete_mcsm_chain_at_full_activity() {
+        let case = |family: &str, topology: &str, gates: usize, activity: &str| NetsimCase {
+            family: family.into(),
+            topology: topology.into(),
+            circuit: format!("{topology}_{gates}"),
+            activity: activity.into(),
+            gates,
+            levels: gates,
+            gates_simulated: gates,
+            gates_skipped: 0,
+            events: gates,
+            seq_seconds: 1.0,
+            par_seconds: 1.0,
+            bit_identical: true,
+        };
+        let mut report = NetsimReport {
+            threads: 1,
+            cases: vec![
+                case("complete_mcsm", "chain", 24, "full"),
+                case("complete_mcsm", "chain", 48, "full"),
+                case("complete_mcsm", "chain", 48, "sparse"),
+                case("complete_mcsm", "dag", 49, "full"),
+                case("sis", "chain", 64, "full"),
+            ],
+        };
+        let floor = report.floor_case().unwrap();
+        assert_eq!(
+            (floor.circuit.as_str(), floor.activity.as_str()),
+            ("chain_48", "full")
+        );
+        report.cases.retain(|case| case.family == "sis");
+        assert!(report.floor_case().is_none());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::config::CharacterizationConfig;
 use crate::error::CsmError;
 use crate::model::{McsmModel, MisBaselineModel, SisModel};
 use crate::store::ModelStore;
-use crate::table::{voltage_axis, Table1, Table2, Table3, Table4};
+use crate::table::{voltage_axis, Table1, TableGroup};
 use mcsm_cells::cell::{CellKind, CellTemplate};
 use mcsm_num::grid::Axis;
 use mcsm_num::lut::LutNd;
@@ -136,10 +136,10 @@ pub fn characterize_mcsm(
     let mut rig = build_rig(template, true, None)?;
     // Pin order: a, b, n, out.
     let current_axes = voltage_axes(vdd, config.voltage_margin, config.current_grid_points, 4)?;
+    let model = format!("{} MCSM", kind.name());
     let currents = current_tables(&mut rig, &current_axes, &[3, 2])?;
-    let mut currents = currents.into_iter();
-    let io = Table4::new(currents.next().expect("two current tables"))?;
-    let i_n = Table4::new(currents.next().expect("two current tables"))?;
+    let currents = currents.try_into().expect("two current tables");
+    let current_tables = TableGroup::new(&model, McsmModel::CURRENT_TABLES, currents)?;
 
     let cap_axes = voltage_axes(
         vdd,
@@ -156,6 +156,11 @@ pub fn characterize_mcsm(
             .zip_with(&caps.miller_to_output[1], |t, m| t - m)?,
     );
     let c_n_lut = non_negative(caps.internal.clone().expect("internal pin was probed"));
+    let cap_tables = TableGroup::new(
+        &model,
+        McsmModel::CAP_TABLES,
+        [cm_a_lut, cm_b_lut, c_o_lut, c_n_lut],
+    )?;
 
     // Input pin capacitances: 1-D in the input's own voltage, with the other
     // input at its non-controlling value, the internal node at mid rail and the
@@ -186,12 +191,8 @@ pub fn characterize_mcsm(
     Ok(McsmModel {
         cell_name: kind.name().to_string(),
         vdd,
-        io,
-        i_n,
-        cm_a: Table4::new(cm_a_lut)?,
-        cm_b: Table4::new(cm_b_lut)?,
-        c_o: Table4::new(c_o_lut)?,
-        c_n: Table4::new(c_n_lut)?,
+        current_tables,
+        cap_tables,
         c_in_a: Table1::new(c_in_a)?,
         c_in_b: Table1::new(c_in_b)?,
     })
@@ -220,10 +221,12 @@ pub fn characterize_mis_baseline(
     let mut rig = build_rig(template, false, None)?;
     // Pin order: a, b, out.
     let current_axes = voltage_axes(vdd, config.voltage_margin, config.current_grid_points, 3)?;
-    let io = Table3::new(
-        current_tables(&mut rig, &current_axes, &[2])?
-            .pop()
-            .expect("one current table"),
+    let model = format!("{} baseline MIS", kind.name());
+    let io = current_tables(&mut rig, &current_axes, &[2])?;
+    let current_tables = TableGroup::new(
+        &model,
+        MisBaselineModel::CURRENT_TABLES,
+        io.try_into().expect("one current table"),
     )?;
 
     let cap_axes = voltage_axes(
@@ -240,6 +243,11 @@ pub fn characterize_mis_baseline(
             .zip_with(&caps.miller_to_output[0], |t, m| t - m)?
             .zip_with(&caps.miller_to_output[1], |t, m| t - m)?,
     );
+    let cap_tables = TableGroup::new(
+        &model,
+        MisBaselineModel::CAP_TABLES,
+        [cm_a_lut, cm_b_lut, c_o_lut],
+    )?;
 
     let non_controlling = if kind.non_controlling_value() {
         vdd
@@ -267,10 +275,8 @@ pub fn characterize_mis_baseline(
     Ok(MisBaselineModel {
         cell_name: kind.name().to_string(),
         vdd,
-        io,
-        cm_a: Table3::new(cm_a_lut)?,
-        cm_b: Table3::new(cm_b_lut)?,
-        c_o: Table3::new(c_o_lut)?,
+        current_tables,
+        cap_tables,
         c_in_a: Table1::new(c_in_a)?,
         c_in_b: Table1::new(c_in_b)?,
     })
@@ -301,10 +307,12 @@ pub fn characterize_sis(
     let mut rig = build_rig(template, false, Some(switching_pin))?;
     // Pin order: in, out.
     let current_axes = voltage_axes(vdd, config.voltage_margin, config.current_grid_points, 2)?;
-    let io = Table2::new(
-        current_tables(&mut rig, &current_axes, &[1])?
-            .pop()
-            .expect("one current table"),
+    let model = format!("{} SIS (pin {switching_pin})", kind.name());
+    let io = current_tables(&mut rig, &current_axes, &[1])?;
+    let current_tables = TableGroup::new(
+        &model,
+        SisModel::CURRENT_TABLES,
+        io.try_into().expect("one current table"),
     )?;
 
     let cap_axes = voltage_axes(
@@ -319,6 +327,7 @@ pub fn characterize_sis(
         caps.output_total
             .zip_with(&caps.miller_to_output[0], |t, m| t - m)?,
     );
+    let cap_tables = TableGroup::new(&model, SisModel::CAP_TABLES, [cm_lut, c_o_lut])?;
 
     let input_axis = voltage_axis(vdd, config.voltage_margin, config.input_cap_grid_points)?;
     let held = [0.0, 0.5 * vdd];
@@ -335,9 +344,8 @@ pub fn characterize_sis(
         vdd,
         switching_pin,
         other_inputs_high: kind.non_controlling_value(),
-        io,
-        cm: Table2::new(cm_lut)?,
-        c_o: Table2::new(c_o_lut)?,
+        current_tables,
+        cap_tables,
         c_in: Table1::new(c_in)?,
     })
 }

@@ -15,25 +15,9 @@
 
 use crate::error::CsmError;
 use crate::eval::EvalState;
-use crate::model::CellModel;
-use crate::table::{Table1, Table4};
+use crate::model::{CellModel, CAP_GRID, CURRENT_GRID, GRIDS};
+use crate::table::{Table1, TableGroup};
 use mcsm_num::json::{FromJson, JsonError, JsonValue, ToJson};
-use mcsm_num::lut::LutCursor;
-
-/// [`EvalState`] slot of the output-current table `I_o`.
-const SLOT_IO: usize = 0;
-/// [`EvalState`] slot of the internal-node current table `I_N`.
-const SLOT_IN: usize = 1;
-/// [`EvalState`] slot of the `C_mA` table.
-const SLOT_CMA: usize = 2;
-/// [`EvalState`] slot of the `C_mB` table.
-const SLOT_CMB: usize = 3;
-/// [`EvalState`] slot of the `C_o` table.
-const SLOT_CO: usize = 4;
-/// [`EvalState`] slot of the `C_N` table.
-const SLOT_CN: usize = 5;
-/// Tables the complete MCSM queries from the hot loop.
-const SLOTS: usize = 6;
 
 /// The complete multiple-input-switching current-source model of one cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,18 +26,15 @@ pub struct McsmModel {
     pub cell_name: String,
     /// Supply voltage the model was characterized at (volts).
     pub vdd: f64,
-    /// Output current source `I_o(V_A, V_B, V_N, V_o)` (amps, into the cell).
-    pub io: Table4,
-    /// Internal-node current source `I_N(V_A, V_B, V_N, V_o)` (amps, into the cell).
-    pub i_n: Table4,
-    /// Miller capacitance between input A and the output (farads).
-    pub cm_a: Table4,
-    /// Miller capacitance between input B and the output (farads).
-    pub cm_b: Table4,
-    /// Output parasitic capacitance (farads).
-    pub c_o: Table4,
-    /// Internal-node capacitance (farads).
-    pub c_n: Table4,
+    /// The current sources over `(V_A, V_B, V_N, V_o)`, in this order: the
+    /// output current `I_o` and the internal-node current `I_N` (amps, into
+    /// the cell).
+    pub current_tables: TableGroup<4, 2>,
+    /// The capacitances over `(V_A, V_B, V_N, V_o)`, in this order: the
+    /// Miller capacitances `C_mA` and `C_mB` between each input and the
+    /// output, the output parasitic capacitance `C_o` and the internal-node
+    /// capacitance `C_N` (farads).
+    pub cap_tables: TableGroup<4, 4>,
     /// Input pin capacitance of A (farads), used for receiver loading.
     pub c_in_a: Table1,
     /// Input pin capacitance of B (farads), used for receiver loading.
@@ -61,24 +42,25 @@ pub struct McsmModel {
 }
 
 impl McsmModel {
+    /// Model-document keys of [`McsmModel::current_tables`], in group order.
+    pub(crate) const CURRENT_TABLES: [&'static str; 2] = ["io", "i_n"];
+    /// Model-document keys of [`McsmModel::cap_tables`], in group order.
+    pub(crate) const CAP_TABLES: [&'static str; 4] = ["cm_a", "cm_b", "c_o", "c_n"];
+
     /// Output current source at the given node voltages (amps, into the cell).
     pub fn output_current(&self, v_a: f64, v_b: f64, v_n: f64, v_o: f64) -> f64 {
-        self.io.eval(v_a, v_b, v_n, v_o)
+        self.current_tables.eval([v_a, v_b, v_n, v_o])[0]
     }
 
     /// Internal-node current source at the given node voltages (amps, into the cell).
     pub fn internal_current(&self, v_a: f64, v_b: f64, v_n: f64, v_o: f64) -> f64 {
-        self.i_n.eval(v_a, v_b, v_n, v_o)
+        self.current_tables.eval([v_a, v_b, v_n, v_o])[1]
     }
 
     /// The four capacitances `(C_mA, C_mB, C_o, C_N)` at the given node voltages.
     pub fn capacitances(&self, v_a: f64, v_b: f64, v_n: f64, v_o: f64) -> (f64, f64, f64, f64) {
-        (
-            self.cm_a.eval(v_a, v_b, v_n, v_o),
-            self.cm_b.eval(v_a, v_b, v_n, v_o),
-            self.c_o.eval(v_a, v_b, v_n, v_o),
-            self.c_n.eval(v_a, v_b, v_n, v_o),
-        )
+        let [cm_a, cm_b, c_o, c_n] = self.cap_tables.eval([v_a, v_b, v_n, v_o]);
+        (cm_a, cm_b, c_o, c_n)
     }
 
     /// Input pin capacitance of pin `A` (`pin = 0`) or `B` (`pin = 1`) at the given
@@ -110,13 +92,12 @@ impl McsmModel {
         // and the bisection stays inside one bracketing cell — exactly the
         // temporally coherent access pattern the lookup cursor turns into O(1)
         // lookups (bit-identical to the reference evaluation).
-        let lut = self.i_n.lut();
-        let mut cursor = LutCursor::new();
+        let mut eval = EvalState::fast(GRIDS);
         let mut i_at = |v_n: f64| {
-            lut.eval_with_cursor(&mut cursor, &[v_a, v_b, v_n, v_o])
-                .expect("table arity is fixed; voltages must be finite")
+            self.current_tables
+                .eval_with(&mut eval, CURRENT_GRID, [v_a, v_b, v_n, v_o])[1]
         };
-        let points = lut.axes()[2].points();
+        let points = self.current_tables.axes()[2].points();
         // Coarse scan for the minimum |I_N| and for a sign change.
         let mut best_v = points[0];
         let mut best_abs = f64::INFINITY;
@@ -185,10 +166,6 @@ impl CellModel for McsmModel {
         1
     }
 
-    fn make_eval_state(&self) -> EvalState {
-        EvalState::fast(SLOTS)
-    }
-
     fn currents(
         &self,
         eval: &mut EvalState,
@@ -197,12 +174,10 @@ impl CellModel for McsmModel {
         v_out: f64,
         buf: &mut [f64],
     ) {
-        buf[0] = self
-            .io
-            .eval_with(eval, SLOT_IO, pins[0], pins[1], state[0], v_out);
-        buf[1] = self
-            .i_n
-            .eval_with(eval, SLOT_IN, pins[0], pins[1], state[0], v_out);
+        let coords = [pins[0], pins[1], state[0], v_out];
+        let [io, i_n] = self.current_tables.eval_with(eval, CURRENT_GRID, coords);
+        buf[0] = io;
+        buf[1] = i_n;
     }
 
     fn capacitances(
@@ -214,18 +189,11 @@ impl CellModel for McsmModel {
         miller: &mut [f64],
         state_caps: &mut [f64],
     ) -> f64 {
-        miller[0] = self
-            .cm_a
-            .eval_with(eval, SLOT_CMA, pins[0], pins[1], state[0], v_out);
-        miller[1] = self
-            .cm_b
-            .eval_with(eval, SLOT_CMB, pins[0], pins[1], state[0], v_out);
-        let c_o = self
-            .c_o
-            .eval_with(eval, SLOT_CO, pins[0], pins[1], state[0], v_out);
-        state_caps[0] = self
-            .c_n
-            .eval_with(eval, SLOT_CN, pins[0], pins[1], state[0], v_out);
+        let coords = [pins[0], pins[1], state[0], v_out];
+        let [cm_a, cm_b, c_o, c_n] = self.cap_tables.eval_with(eval, CAP_GRID, coords);
+        miller[0] = cm_a;
+        miller[1] = cm_b;
+        state_caps[0] = c_n;
         c_o
     }
 
@@ -244,44 +212,41 @@ impl CellModel for McsmModel {
 
 impl ToJson for McsmModel {
     fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
+        let mut fields = vec![
             (
                 "cell_name".into(),
                 JsonValue::String(self.cell_name.clone()),
             ),
             ("vdd".into(), JsonValue::Number(self.vdd)),
-            ("io".into(), self.io.to_json()),
-            ("i_n".into(), self.i_n.to_json()),
-            ("cm_a".into(), self.cm_a.to_json()),
-            ("cm_b".into(), self.cm_b.to_json()),
-            ("c_o".into(), self.c_o.to_json()),
-            ("c_n".into(), self.c_n.to_json()),
-            ("c_in_a".into(), self.c_in_a.to_json()),
-            ("c_in_b".into(), self.c_in_b.to_json()),
-        ])
+        ];
+        self.current_tables
+            .to_json_fields(Self::CURRENT_TABLES, &mut fields);
+        self.cap_tables
+            .to_json_fields(Self::CAP_TABLES, &mut fields);
+        fields.push(("c_in_a".into(), self.c_in_a.to_json()));
+        fields.push(("c_in_b".into(), self.c_in_b.to_json()));
+        JsonValue::Object(fields)
     }
 }
 
 impl FromJson for McsmModel {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
+        let cell_name = value
+            .require("cell_name")?
+            .as_str()
+            .ok_or_else(|| JsonError("`cell_name` must be a string".into()))?
+            .to_string();
+        let model = format!("{cell_name} MCSM");
         Ok(McsmModel {
-            cell_name: value
-                .require("cell_name")?
-                .as_str()
-                .ok_or_else(|| JsonError("`cell_name` must be a string".into()))?
-                .to_string(),
             vdd: value
                 .require("vdd")?
                 .as_f64()
                 .ok_or_else(|| JsonError("`vdd` must be a number".into()))?,
-            io: Table4::from_json(value.require("io")?)?,
-            i_n: Table4::from_json(value.require("i_n")?)?,
-            cm_a: Table4::from_json(value.require("cm_a")?)?,
-            cm_b: Table4::from_json(value.require("cm_b")?)?,
-            c_o: Table4::from_json(value.require("c_o")?)?,
-            c_n: Table4::from_json(value.require("c_n")?)?,
+            current_tables: TableGroup::from_json_fields(&model, Self::CURRENT_TABLES, value)?,
+            cap_tables: TableGroup::from_json_fields(&model, Self::CAP_TABLES, value)?,
             c_in_a: Table1::from_json(value.require("c_in_a")?)?,
             c_in_b: Table1::from_json(value.require("c_in_b")?)?,
+            cell_name,
         })
     }
 }
@@ -292,25 +257,19 @@ pub(crate) use tests::synthetic_model;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::{voltage_axis, Table1, Table4};
+    use crate::table::{voltage_axis, Table1};
+    use mcsm_num::lut::LutNd;
 
     /// Builds a synthetic model whose components are simple analytic functions —
     /// enough to test the evaluation plumbing without running characterization.
     pub(crate) fn synthetic_model() -> McsmModel {
         let vdd = 1.2;
-        let axes = || {
-            [
-                voltage_axis(vdd, 0.1, 5).unwrap(),
-                voltage_axis(vdd, 0.1, 5).unwrap(),
-                voltage_axis(vdd, 0.1, 5).unwrap(),
-                voltage_axis(vdd, 0.1, 5).unwrap(),
-            ]
-        };
+        let axes = || vec![voltage_axis(vdd, 0.1, 5).unwrap(); 4];
         // A NOR2-like output current: pulls down when any input is high, pulls up
         // when both are low, scaled to ~100 µA. The pull-up strength depends on
         // the internal-node voltage (a discharged stack node weakens the drive),
         // which is the mechanism the MCSM exists to capture.
-        let io = Table4::from_fn(axes(), |v| {
+        let io = LutNd::from_fn(axes(), |v| {
             let (va, vb, vn, vo) = (v[0], v[1], v[2], v[3]);
             let stack_strength = 0.25 + 0.75 * (vn / vdd).clamp(0.0, 1.0);
             let pull_down = 1e-4 * ((va / vdd).max(0.0) + (vb / vdd).max(0.0)) * (vo / vdd);
@@ -323,26 +282,28 @@ mod tests {
         .unwrap();
         // Internal node current: drives V_N towards Vdd when both inputs are low,
         // towards V_o when A is low and B is high.
-        let i_n = Table4::from_fn(axes(), |v| {
+        let i_n = LutNd::from_fn(axes(), |v| {
             let (va, vb, vn, vo) = (v[0], v[1], v[2], v[3]);
             let to_vdd = (1.0 - vb / vdd).max(0.0) * (vn - vdd) * 1e-4 / vdd;
             let to_out = (1.0 - va / vdd).max(0.0) * (vn - vo) * 1e-4 / vdd;
             to_vdd + to_out
         })
         .unwrap();
-        let cap = |value: f64| Table4::from_fn(axes(), move |_| value).unwrap();
+        let cap = |value: f64| LutNd::from_fn(axes(), move |_| value).unwrap();
         let cin = |value: f64| {
             Table1::from_fn([voltage_axis(vdd, 0.1, 3).unwrap()], move |_| value).unwrap()
         };
+        let model = "NOR2 MCSM";
         McsmModel {
             cell_name: "NOR2".into(),
             vdd,
-            io,
-            i_n,
-            cm_a: cap(0.5e-15),
-            cm_b: cap(0.4e-15),
-            c_o: cap(2e-15),
-            c_n: cap(1e-15),
+            current_tables: TableGroup::new(model, McsmModel::CURRENT_TABLES, [io, i_n]).unwrap(),
+            cap_tables: TableGroup::new(
+                model,
+                McsmModel::CAP_TABLES,
+                [cap(0.5e-15), cap(0.4e-15), cap(2e-15), cap(1e-15)],
+            )
+            .unwrap(),
             c_in_a: cin(1.5e-15),
             c_in_b: cin(1.4e-15),
         }
@@ -398,6 +359,28 @@ mod tests {
     }
 
     #[test]
+    fn a_document_whose_grouped_tables_differ_in_grid_is_rejected() {
+        // Swap `c_o` for a table of the right shape on a finer grid: the
+        // capacitance group would evaluate it at another table's cells.
+        let mut doc = synthetic_model().to_json();
+        let finer = LutNd::from_fn(vec![voltage_axis(1.2, 0.1, 6).unwrap(); 4], |_| 2e-15).unwrap();
+        let JsonValue::Object(fields) = &mut doc else {
+            unreachable!("a model serializes to an object")
+        };
+        let c_o = fields.iter_mut().find(|(k, _)| k == "c_o").unwrap();
+        c_o.1 = finer.to_json();
+        let text = doc.to_string_pretty();
+        let err = McsmModel::from_json(&JsonValue::parse(&text).unwrap())
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("NOR2 MCSM"), "{err}");
+        assert!(
+            err.contains("`c_o` is not sampled on the grid of `cm_a`"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn cell_model_trait_matches_inherent_methods() {
         let m = synthetic_model();
         let model: &dyn CellModel = &m;
@@ -410,7 +393,7 @@ mod tests {
         let state = [0.7];
         let v_o = 0.5;
         let mut eval = model.make_eval_state();
-        assert_eq!(eval.slots(), 6);
+        assert_eq!(eval.grids(), 2);
         let mut currents = [0.0; 2];
         model.currents(&mut eval, &pins, &state, v_o, &mut currents);
         assert_eq!(currents[0], m.output_current(0.9, 0.4, 0.7, 0.5));

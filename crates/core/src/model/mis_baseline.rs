@@ -8,20 +8,9 @@
 
 use crate::error::CsmError;
 use crate::eval::EvalState;
-use crate::model::CellModel;
-use crate::table::{Table1, Table3};
+use crate::model::{CellModel, CAP_GRID, CURRENT_GRID};
+use crate::table::{Table1, TableGroup};
 use mcsm_num::json::{FromJson, JsonError, JsonValue, ToJson};
-
-/// [`EvalState`] slot of the output-current table.
-const SLOT_IO: usize = 0;
-/// [`EvalState`] slot of the `C_mA` table.
-const SLOT_CMA: usize = 1;
-/// [`EvalState`] slot of the `C_mB` table.
-const SLOT_CMB: usize = 2;
-/// [`EvalState`] slot of the `C_o` table.
-const SLOT_CO: usize = 3;
-/// Tables a baseline MIS model queries from the hot loop.
-const SLOTS: usize = 4;
 
 /// A MIS current-source model without internal-node state.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,14 +19,13 @@ pub struct MisBaselineModel {
     pub cell_name: String,
     /// Supply voltage the model was characterized at (volts).
     pub vdd: f64,
-    /// Output current source `I_o(V_A, V_B, V_o)` (amps, into the cell).
-    pub io: Table3,
-    /// Miller capacitance between input A and the output (farads).
-    pub cm_a: Table3,
-    /// Miller capacitance between input B and the output (farads).
-    pub cm_b: Table3,
-    /// Output parasitic capacitance (farads).
-    pub c_o: Table3,
+    /// The output current source `I_o(V_A, V_B, V_o)` (amps, into the cell),
+    /// alone on its grid.
+    pub current_tables: TableGroup<3, 1>,
+    /// The capacitances over `(V_A, V_B, V_o)`, in this order: the Miller
+    /// capacitances `C_mA` and `C_mB` between each input and the output, and
+    /// the output parasitic capacitance `C_o` (farads).
+    pub cap_tables: TableGroup<3, 3>,
     /// Input pin capacitance of A (farads).
     pub c_in_a: Table1,
     /// Input pin capacitance of B (farads).
@@ -45,18 +33,21 @@ pub struct MisBaselineModel {
 }
 
 impl MisBaselineModel {
+    /// Model-document key of [`MisBaselineModel::current_tables`].
+    pub(crate) const CURRENT_TABLES: [&'static str; 1] = ["io"];
+    /// Model-document keys of [`MisBaselineModel::cap_tables`], in group order.
+    pub(crate) const CAP_TABLES: [&'static str; 3] = ["cm_a", "cm_b", "c_o"];
+
     /// Output current source (amps, into the cell).
     pub fn output_current(&self, v_a: f64, v_b: f64, v_o: f64) -> f64 {
-        self.io.eval(v_a, v_b, v_o)
+        let [io] = self.current_tables.eval([v_a, v_b, v_o]);
+        io
     }
 
     /// The capacitances `(C_mA, C_mB, C_o)` at the given node voltages.
     pub fn capacitances(&self, v_a: f64, v_b: f64, v_o: f64) -> (f64, f64, f64) {
-        (
-            self.cm_a.eval(v_a, v_b, v_o),
-            self.cm_b.eval(v_a, v_b, v_o),
-            self.c_o.eval(v_a, v_b, v_o),
-        )
+        let [cm_a, cm_b, c_o] = self.cap_tables.eval([v_a, v_b, v_o]);
+        (cm_a, cm_b, c_o)
     }
 
     /// Input pin capacitance of pin `A` (`pin = 0`) or `B` (`pin = 1`).
@@ -92,10 +83,6 @@ impl CellModel for MisBaselineModel {
         0
     }
 
-    fn make_eval_state(&self) -> EvalState {
-        EvalState::fast(SLOTS)
-    }
-
     fn currents(
         &self,
         eval: &mut EvalState,
@@ -104,7 +91,10 @@ impl CellModel for MisBaselineModel {
         v_out: f64,
         buf: &mut [f64],
     ) {
-        buf[0] = self.io.eval_with(eval, SLOT_IO, pins[0], pins[1], v_out);
+        let [io] = self
+            .current_tables
+            .eval_with(eval, CURRENT_GRID, [pins[0], pins[1], v_out]);
+        buf[0] = io;
     }
 
     fn capacitances(
@@ -116,9 +106,12 @@ impl CellModel for MisBaselineModel {
         miller: &mut [f64],
         _state_caps: &mut [f64],
     ) -> f64 {
-        miller[0] = self.cm_a.eval_with(eval, SLOT_CMA, pins[0], pins[1], v_out);
-        miller[1] = self.cm_b.eval_with(eval, SLOT_CMB, pins[0], pins[1], v_out);
-        self.c_o.eval_with(eval, SLOT_CO, pins[0], pins[1], v_out)
+        let [cm_a, cm_b, c_o] =
+            self.cap_tables
+                .eval_with(eval, CAP_GRID, [pins[0], pins[1], v_out]);
+        miller[0] = cm_a;
+        miller[1] = cm_b;
+        c_o
     }
 
     fn equilibrium_state(&self, _pins: &[f64], _v_out: f64, _state: &mut [f64]) {}
@@ -130,40 +123,41 @@ impl CellModel for MisBaselineModel {
 
 impl ToJson for MisBaselineModel {
     fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
+        let mut fields = vec![
             (
                 "cell_name".into(),
                 JsonValue::String(self.cell_name.clone()),
             ),
             ("vdd".into(), JsonValue::Number(self.vdd)),
-            ("io".into(), self.io.to_json()),
-            ("cm_a".into(), self.cm_a.to_json()),
-            ("cm_b".into(), self.cm_b.to_json()),
-            ("c_o".into(), self.c_o.to_json()),
-            ("c_in_a".into(), self.c_in_a.to_json()),
-            ("c_in_b".into(), self.c_in_b.to_json()),
-        ])
+        ];
+        self.current_tables
+            .to_json_fields(Self::CURRENT_TABLES, &mut fields);
+        self.cap_tables
+            .to_json_fields(Self::CAP_TABLES, &mut fields);
+        fields.push(("c_in_a".into(), self.c_in_a.to_json()));
+        fields.push(("c_in_b".into(), self.c_in_b.to_json()));
+        JsonValue::Object(fields)
     }
 }
 
 impl FromJson for MisBaselineModel {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
+        let cell_name = value
+            .require("cell_name")?
+            .as_str()
+            .ok_or_else(|| JsonError("`cell_name` must be a string".into()))?
+            .to_string();
+        let model = format!("{cell_name} baseline MIS");
         Ok(MisBaselineModel {
-            cell_name: value
-                .require("cell_name")?
-                .as_str()
-                .ok_or_else(|| JsonError("`cell_name` must be a string".into()))?
-                .to_string(),
             vdd: value
                 .require("vdd")?
                 .as_f64()
                 .ok_or_else(|| JsonError("`vdd` must be a number".into()))?,
-            io: Table3::from_json(value.require("io")?)?,
-            cm_a: Table3::from_json(value.require("cm_a")?)?,
-            cm_b: Table3::from_json(value.require("cm_b")?)?,
-            c_o: Table3::from_json(value.require("c_o")?)?,
+            current_tables: TableGroup::from_json_fields(&model, Self::CURRENT_TABLES, value)?,
+            cap_tables: TableGroup::from_json_fields(&model, Self::CAP_TABLES, value)?,
             c_in_a: Table1::from_json(value.require("c_in_a")?)?,
             c_in_b: Table1::from_json(value.require("c_in_b")?)?,
+            cell_name,
         })
     }
 }
@@ -175,33 +169,32 @@ pub(crate) use tests::synthetic_baseline;
 mod tests {
     use super::*;
     use crate::table::voltage_axis;
+    use mcsm_num::lut::LutNd;
 
     pub(crate) fn synthetic_baseline() -> MisBaselineModel {
         let vdd = 1.2;
-        let axes = || {
-            [
-                voltage_axis(vdd, 0.1, 5).unwrap(),
-                voltage_axis(vdd, 0.1, 5).unwrap(),
-                voltage_axis(vdd, 0.1, 5).unwrap(),
-            ]
-        };
-        let io = Table3::from_fn(axes(), |v| {
+        let axes = || vec![voltage_axis(vdd, 0.1, 5).unwrap(); 3];
+        let io = LutNd::from_fn(axes(), |v| {
             let (va, vb, vo) = (v[0], v[1], v[2]);
             1e-4 * ((va + vb) / vdd) * (vo / vdd)
                 - 1e-4 * ((vdd - va) / vdd) * ((vdd - vb) / vdd) * ((vdd - vo) / vdd)
         })
         .unwrap();
-        let cap = |value: f64| Table3::from_fn(axes(), move |_| value).unwrap();
+        let cap = |value: f64| LutNd::from_fn(axes(), move |_| value).unwrap();
         let cin = |value: f64| {
             Table1::from_fn([voltage_axis(vdd, 0.1, 3).unwrap()], move |_| value).unwrap()
         };
+        let model = "NOR2 baseline MIS";
         MisBaselineModel {
             cell_name: "NOR2".into(),
             vdd,
-            io,
-            cm_a: cap(0.5e-15),
-            cm_b: cap(0.4e-15),
-            c_o: cap(2e-15),
+            current_tables: TableGroup::new(model, MisBaselineModel::CURRENT_TABLES, [io]).unwrap(),
+            cap_tables: TableGroup::new(
+                model,
+                MisBaselineModel::CAP_TABLES,
+                [cap(0.5e-15), cap(0.4e-15), cap(2e-15)],
+            )
+            .unwrap(),
             c_in_a: cin(1.5e-15),
             c_in_b: cin(1.4e-15),
         }
@@ -232,7 +225,7 @@ mod tests {
         let model: &dyn CellModel = &m;
         assert_eq!((model.num_pins(), model.num_state_nodes()), (2, 0));
         let mut eval = model.make_eval_state();
-        assert_eq!(eval.slots(), 4);
+        assert_eq!(eval.grids(), 2);
         let mut buf = [0.0];
         model.currents(&mut eval, &[1.2, 1.2], &[], 1.2, &mut buf);
         assert_eq!(buf[0], m.output_current(1.2, 1.2, 1.2));

@@ -26,6 +26,13 @@ pub use sis::SisModel;
 use crate::error::CsmError;
 use crate::eval::EvalState;
 
+/// [`EvalState`] grid of a model's current tables.
+const CURRENT_GRID: usize = 0;
+/// [`EvalState`] grid of a model's capacitance tables.
+const CAP_GRID: usize = 1;
+/// Grids every model family in this crate samples its tables on.
+const GRIDS: usize = 2;
+
 /// Uniform evaluation interface over every cell-model family.
 ///
 /// A model exposes `num_pins()` input pins and `num_state_nodes()` internal
@@ -34,7 +41,7 @@ use crate::eval::EvalState;
 /// fill caller-provided buffers (`currents`, `capacitances`,
 /// `equilibrium_state`) or return a scalar. Buffer-filling keeps the inner
 /// integration loop allocation-free regardless of the model dimensionality,
-/// and the [`EvalState`] scratch (one lookup cursor per model table, built
+/// and the [`EvalState`] scratch (one lookup cursor per table grid, built
 /// once per run by [`make_eval_state`]) keeps the table lookups themselves
 /// allocation-free and O(1) amortized across consecutive sub-steps.
 ///
@@ -64,14 +71,18 @@ pub trait CellModel {
     /// baseline-MIS models, 1 for the complete two-input MCSM).
     fn num_state_nodes(&self) -> usize;
 
-    /// Builds the per-run evaluation scratch: one lookup cursor per table this
-    /// model queries from [`currents`] / [`capacitances`]. Create it once per
-    /// simulation run and thread it through every evaluation — the cursors are
-    /// what make consecutive lookups O(1) amortized.
+    /// Builds the per-run evaluation scratch: one lookup cursor per grid this
+    /// model's [`currents`] / [`capacitances`] tables are sampled on. Create it
+    /// once per simulation run and thread it through every evaluation — the
+    /// cursors are what make consecutive lookups O(1) amortized. The default
+    /// serves every family in this crate: current tables on one grid,
+    /// capacitance tables on another.
     ///
     /// [`currents`]: CellModel::currents
     /// [`capacitances`]: CellModel::capacitances
-    fn make_eval_state(&self) -> EvalState;
+    fn make_eval_state(&self) -> EvalState {
+        EvalState::fast(GRIDS)
+    }
 
     /// Evaluates the current sources at one operating point.
     ///

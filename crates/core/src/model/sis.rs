@@ -8,18 +8,9 @@
 
 use crate::error::CsmError;
 use crate::eval::EvalState;
-use crate::model::CellModel;
-use crate::table::{Table1, Table2};
+use crate::model::{CellModel, CAP_GRID, CURRENT_GRID};
+use crate::table::{Table1, TableGroup};
 use mcsm_num::json::{FromJson, JsonError, JsonValue, ToJson};
-
-/// [`EvalState`] slot of the output-current table.
-const SLOT_IO: usize = 0;
-/// [`EvalState`] slot of the Miller-capacitance table.
-const SLOT_CM: usize = 1;
-/// [`EvalState`] slot of the output-capacitance table.
-const SLOT_CO: usize = 2;
-/// Tables a SIS model queries from the hot loop.
-const SLOTS: usize = 3;
 
 /// A single-input-switching current-source model.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,25 +23,33 @@ pub struct SisModel {
     pub switching_pin: usize,
     /// Logic value the non-switching inputs were held at during characterization.
     pub other_inputs_high: bool,
-    /// Output current source `I_o(V_in, V_o)` (amps, into the cell).
-    pub io: Table2,
-    /// Miller capacitance between the switching input and the output (farads).
-    pub cm: Table2,
-    /// Output parasitic capacitance (farads).
-    pub c_o: Table2,
+    /// The output current source `I_o(V_in, V_o)` (amps, into the cell),
+    /// alone on its grid.
+    pub current_tables: TableGroup<2, 1>,
+    /// The capacitances over `(V_in, V_o)`, in this order: the Miller
+    /// capacitance `C_m` between the switching input and the output, and the
+    /// output parasitic capacitance `C_o` (farads).
+    pub cap_tables: TableGroup<2, 2>,
     /// Input pin capacitance of the switching input (farads).
     pub c_in: Table1,
 }
 
 impl SisModel {
+    /// Model-document key of [`SisModel::current_tables`].
+    pub(crate) const CURRENT_TABLES: [&'static str; 1] = ["io"];
+    /// Model-document keys of [`SisModel::cap_tables`], in group order.
+    pub(crate) const CAP_TABLES: [&'static str; 2] = ["cm", "c_o"];
+
     /// Output current source (amps, into the cell).
     pub fn output_current(&self, v_in: f64, v_o: f64) -> f64 {
-        self.io.eval(v_in, v_o)
+        let [io] = self.current_tables.eval([v_in, v_o]);
+        io
     }
 
     /// The capacitances `(C_m, C_o)` at the given voltages.
     pub fn capacitances(&self, v_in: f64, v_o: f64) -> (f64, f64) {
-        (self.cm.eval(v_in, v_o), self.c_o.eval(v_in, v_o))
+        let [cm, c_o] = self.cap_tables.eval([v_in, v_o]);
+        (cm, c_o)
     }
 
     /// Input pin capacitance of the switching input.
@@ -76,10 +75,6 @@ impl CellModel for SisModel {
         0
     }
 
-    fn make_eval_state(&self) -> EvalState {
-        EvalState::fast(SLOTS)
-    }
-
     fn currents(
         &self,
         eval: &mut EvalState,
@@ -88,7 +83,10 @@ impl CellModel for SisModel {
         v_out: f64,
         buf: &mut [f64],
     ) {
-        buf[0] = self.io.eval_with(eval, SLOT_IO, pins[0], v_out);
+        let [io] = self
+            .current_tables
+            .eval_with(eval, CURRENT_GRID, [pins[0], v_out]);
+        buf[0] = io;
     }
 
     fn capacitances(
@@ -100,8 +98,9 @@ impl CellModel for SisModel {
         miller: &mut [f64],
         _state_caps: &mut [f64],
     ) -> f64 {
-        miller[0] = self.cm.eval_with(eval, SLOT_CM, pins[0], v_out);
-        self.c_o.eval_with(eval, SLOT_CO, pins[0], v_out)
+        let [cm, c_o] = self.cap_tables.eval_with(eval, CAP_GRID, [pins[0], v_out]);
+        miller[0] = cm;
+        c_o
     }
 
     fn equilibrium_state(&self, _pins: &[f64], _v_out: f64, _state: &mut [f64]) {}
@@ -118,7 +117,7 @@ impl CellModel for SisModel {
 
 impl ToJson for SisModel {
     fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
+        let mut fields = vec![
             (
                 "cell_name".into(),
                 JsonValue::String(self.cell_name.clone()),
@@ -132,38 +131,42 @@ impl ToJson for SisModel {
                 "other_inputs_high".into(),
                 JsonValue::Bool(self.other_inputs_high),
             ),
-            ("io".into(), self.io.to_json()),
-            ("cm".into(), self.cm.to_json()),
-            ("c_o".into(), self.c_o.to_json()),
-            ("c_in".into(), self.c_in.to_json()),
-        ])
+        ];
+        self.current_tables
+            .to_json_fields(Self::CURRENT_TABLES, &mut fields);
+        self.cap_tables
+            .to_json_fields(Self::CAP_TABLES, &mut fields);
+        fields.push(("c_in".into(), self.c_in.to_json()));
+        JsonValue::Object(fields)
     }
 }
 
 impl FromJson for SisModel {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
+        let cell_name = value
+            .require("cell_name")?
+            .as_str()
+            .ok_or_else(|| JsonError("`cell_name` must be a string".into()))?
+            .to_string();
+        let switching_pin = value
+            .require("switching_pin")?
+            .as_usize()
+            .ok_or_else(|| JsonError("`switching_pin` must be an index".into()))?;
+        let model = format!("{cell_name} SIS (pin {switching_pin})");
         Ok(SisModel {
-            cell_name: value
-                .require("cell_name")?
-                .as_str()
-                .ok_or_else(|| JsonError("`cell_name` must be a string".into()))?
-                .to_string(),
             vdd: value
                 .require("vdd")?
                 .as_f64()
                 .ok_or_else(|| JsonError("`vdd` must be a number".into()))?,
-            switching_pin: value
-                .require("switching_pin")?
-                .as_usize()
-                .ok_or_else(|| JsonError("`switching_pin` must be an index".into()))?,
+            switching_pin,
             other_inputs_high: value
                 .require("other_inputs_high")?
                 .as_bool()
                 .ok_or_else(|| JsonError("`other_inputs_high` must be a bool".into()))?,
-            io: Table2::from_json(value.require("io")?)?,
-            cm: Table2::from_json(value.require("cm")?)?,
-            c_o: Table2::from_json(value.require("c_o")?)?,
+            current_tables: TableGroup::from_json_fields(&model, Self::CURRENT_TABLES, value)?,
+            cap_tables: TableGroup::from_json_fields(&model, Self::CAP_TABLES, value)?,
             c_in: Table1::from_json(value.require("c_in")?)?,
+            cell_name,
         })
     }
 }
@@ -175,30 +178,27 @@ pub(crate) use tests::synthetic_sis;
 mod tests {
     use super::*;
     use crate::table::voltage_axis;
+    use mcsm_num::lut::LutNd;
 
     pub(crate) fn synthetic_sis() -> SisModel {
         let vdd = 1.2;
-        let axes = || {
-            [
-                voltage_axis(vdd, 0.1, 5).unwrap(),
-                voltage_axis(vdd, 0.1, 5).unwrap(),
-            ]
-        };
+        let axes = || vec![voltage_axis(vdd, 0.1, 5).unwrap(); 2];
         // Inverter-like: input high pulls output down.
-        let io = Table2::from_fn(axes(), |v| {
+        let io = LutNd::from_fn(axes(), |v| {
             let (vin, vo) = (v[0], v[1]);
             1e-4 * (vin / vdd) * (vo / vdd) - 1e-4 * ((vdd - vin) / vdd) * ((vdd - vo) / vdd)
         })
         .unwrap();
-        let cap = |value: f64| Table2::from_fn(axes(), move |_| value).unwrap();
+        let cap = |value: f64| LutNd::from_fn(axes(), move |_| value).unwrap();
+        let model = "NOR2 SIS (pin 0)";
         SisModel {
             cell_name: "NOR2".into(),
             vdd,
             switching_pin: 0,
             other_inputs_high: false,
-            io,
-            cm: cap(0.5e-15),
-            c_o: cap(2e-15),
+            current_tables: TableGroup::new(model, SisModel::CURRENT_TABLES, [io]).unwrap(),
+            cap_tables: TableGroup::new(model, SisModel::CAP_TABLES, [cap(0.5e-15), cap(2e-15)])
+                .unwrap(),
             c_in: Table1::from_fn([voltage_axis(vdd, 0.1, 3).unwrap()], |_| 1.5e-15).unwrap(),
         }
     }
@@ -229,7 +229,7 @@ mod tests {
         assert_eq!(model.num_pins(), 1);
         assert_eq!(model.num_state_nodes(), 0);
         let mut eval = model.make_eval_state();
-        assert_eq!(eval.slots(), 3);
+        assert_eq!(eval.grids(), 2);
         let mut buf = [0.0];
         model.currents(&mut eval, &[1.2], &[], 1.2, &mut buf);
         assert_eq!(buf[0], m.output_current(1.2, 1.2));

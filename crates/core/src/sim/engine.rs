@@ -22,9 +22,15 @@
 //! the probe starts where the first sub-step starts, so its table lookups
 //! serve that sub-step too; the pin voltages at a step's end start the next
 //! step; and each sampled drive is read through a search hint that follows
-//! the run forward ([`DriveWaveform::eval_hinted`]). None of this changes a
-//! result bit — every sub-step time is computed as it always was, and a
-//! value is reused only where it was computed at the same time bits.
+//! the run forward ([`DriveWaveform::eval_hinted`]). An evaluation is two
+//! grouped table lookups, one per grid the model's tables are sampled on:
+//! the point is located once on the current grid and once on the
+//! capacitance grid, through one cursor per grid, and every table of a grid
+//! is summed from the same corner weights ([`crate::table::TableGroup`]).
+//! None of this changes a result bit — every sub-step time is computed as it
+//! always was, a value is reused only where it was computed at the same time
+//! bits, and each grouped table value has the bits of looking its table up
+//! alone.
 //!
 //! The entry point for callers is the [`Simulation`] builder:
 //!
@@ -76,10 +82,10 @@ pub struct CsmSimOptions {
     /// Integration scheme.
     pub integration: CsmIntegration,
     /// Which lookup-table evaluation path the model hot loop uses. The default
-    /// [`EvalMode::Fast`] runs the cursor-accelerated, allocation-free lookups;
-    /// [`EvalMode::Reference`] retains the historical allocating `LutNd::eval`
-    /// path, bit-identical by construction — benchmarks gate the speedup and
-    /// tests pin the equality.
+    /// [`EvalMode::Fast`] runs the grouped, cursor-accelerated, allocation-free
+    /// lookups; [`EvalMode::Reference`] retains the historical allocating
+    /// `LutNd::eval` path, bit-identical by construction — benchmarks gate the
+    /// speedup and tests pin the equality.
     pub eval: EvalMode,
 }
 
@@ -181,9 +187,9 @@ fn substeps_for(deltas: &[f64]) -> usize {
 /// same point, share one evaluation: the model evaluates as a pure function
 /// of (pins, state, output) (see [`CellModel`]).
 ///
-/// The stepper owns the model's [`EvalState`] — one lookup cursor per table —
-/// so every table query across the whole run goes through cursors that follow
-/// the trajectory cell to cell (the allocation-free fast path).
+/// The stepper owns the model's [`EvalState`] — one lookup cursor per table
+/// grid — so every table query across the whole run goes through cursors that
+/// follow the trajectory cell to cell (the allocation-free fast path).
 struct Stepper<'m> {
     model: &'m dyn CellModel,
     load: f64,

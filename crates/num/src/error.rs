@@ -30,6 +30,12 @@ pub enum NumError {
     InvalidGrid(String),
     /// A lookup-table query used the wrong number of coordinates.
     InvalidQuery(String),
+    /// A table of a [`crate::lut::LutGroup`] is not sampled on the axes of the
+    /// group's first table.
+    MismatchedAxes {
+        /// Index of the first table whose axes differ.
+        table: usize,
+    },
     /// A root-finding bracket did not actually bracket a sign change.
     InvalidBracket {
         /// Function value at the lower end of the bracket.
@@ -64,6 +70,12 @@ impl fmt::Display for NumError {
             ),
             NumError::InvalidGrid(msg) => write!(f, "invalid grid: {msg}"),
             NumError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
+            NumError::MismatchedAxes { table } => {
+                write!(
+                    f,
+                    "lut group table {table} is not sampled on the axes of table 0"
+                )
+            }
             NumError::InvalidBracket { f_lo, f_hi } => write!(
                 f,
                 "bracket does not contain a sign change (f_lo = {f_lo:.3e}, f_hi = {f_hi:.3e})"

@@ -9,8 +9,9 @@
 //!   analyses.
 //! * [`grid`] / [`lut`] — N-dimensional grids and multilinear-interpolated lookup
 //!   tables; the paper's 4-dimensional `I_o(V_A, V_B, V_N, V_o)` tables are built
-//!   on these. Hot loops use the allocation-free fast paths and [`lut::LutCursor`]
-//!   lookup cursors (bit-identical to the reference `eval`).
+//!   on these. Hot loops look up the tables of one grid together through a
+//!   [`lut::LutGroup`] and a [`lut::LutCursor`] (bit-identical to the reference
+//!   `eval`).
 //! * [`interp`] — 1-D interpolation helpers.
 //! * [`integrate`] — companion-model coefficients for backward-Euler and
 //!   trapezoidal integration, used by the SPICE transient engine.
@@ -60,7 +61,7 @@ pub use fault::{Deadline, FaultPlan};
 pub use grid::Axis;
 pub use hash::ByteHasher;
 pub use json::{FromJson, JsonError, JsonValue, ToJson};
-pub use lut::{LutCursor, LutNd};
+pub use lut::{LutCursor, LutGroup, LutNd};
 pub use matrix::DenseMatrix;
 pub use newton::{NewtonOptions, NewtonOutcome, NewtonSystem};
 pub use par::{par_map, par_map_result, resolve_threads, ThreadPool};

@@ -7,23 +7,22 @@
 //! generic over the number of axes so the same type also serves the 2-D tables
 //! of the single-input-switching model and the 1-D input-capacitance tables.
 //!
-//! # The allocation-free fast path
+//! # Evaluation paths
 //!
 //! [`LutNd::eval`] is the *reference* evaluator: it heap-allocates its locate
 //! buffers and binary-searches every axis on every call. Table evaluation sits
 //! under every explicit/predictor–corrector sub-step of the simulation engine
-//! (paper Eqs. (4)–(5)), so hot code uses the allocation-free family instead,
-//! all of which are **bit-identical** to `eval` (same containing cells, same
-//! corner order, same arithmetic):
+//! (paper Eqs. (4)–(5)), so hot code uses two allocation-free paths instead,
+//! both **bit-identical** to `eval` (same containing cells, same corner order,
+//! same arithmetic):
 //!
-//! * [`LutNd::eval_with_cursor`] — the cursor fast path (below), what the
-//!   simulation engine's per-run scratch rides on;
-//! * [`LutNd::eval_fixed`] — fixed-arity, stack-only evaluation with
-//!   precomputed axis strides; the typed voltage tables in `mcsm-core`
-//!   evaluate through it. [`LutNd::eval1`] … [`LutNd::eval4`] are arity-named
-//!   conveniences over it;
-//! * [`LutNd::eval_into`] — generic arity with small fixed buffers, for
-//!   callers whose dimensionality is only known at run time.
+//! * [`LutGroup::eval_with_cursor`] — the grouped lookup the simulation engine
+//!   runs on. A model reads several tables sampled on one grid at one point;
+//!   the group locates each coordinate once, through a [`LutCursor`], forms
+//!   the corner weights and offsets once, and returns one corner sum per
+//!   table;
+//! * [`LutNd::eval_fixed`] — fixed-arity, stack-only evaluation of one table,
+//!   for the cold lookups outside the engine.
 //!
 //! # Lookup cursors and the coherence assumption
 //!
@@ -41,20 +40,20 @@ use crate::error::NumError;
 use crate::grid::Axis;
 use crate::json::{FromJson, JsonError, JsonValue, ToJson};
 
-/// Largest dimensionality served by the stack-only fast paths; higher-arity
-/// tables transparently fall back to the allocating reference evaluator.
-pub const MAX_FAST_DIMS: usize = 8;
+/// Most axes a [`LutCursor`] remembers, and so the largest dimensionality
+/// [`LutGroup::eval_with_cursor`] serves.
+const MAX_CURSOR_DIMS: usize = 8;
 
-/// A per-table lookup cursor: the last containing cell on every axis.
+/// A per-grid lookup cursor: the last containing cell on every axis.
 ///
-/// Feed it to [`LutNd::eval_with_cursor`] to make repeated, temporally
+/// Feed it to [`LutGroup::eval_with_cursor`] to make repeated, temporally
 /// coherent queries O(1) amortized instead of O(log n) per axis. A cursor
-/// holds no reference to its table — it is a plain hint, cheap to create and
+/// holds no reference to its tables — it is a plain hint, cheap to create and
 /// `Copy` — and a stale or wrong hint only costs a fallback locate, never a
 /// wrong result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LutCursor {
-    cells: [usize; MAX_FAST_DIMS],
+    cells: [usize; MAX_CURSOR_DIMS],
 }
 
 impl LutCursor {
@@ -114,6 +113,45 @@ fn nan_query_error(axis: usize) -> NumError {
     NumError::InvalidQuery(format!("lut query coordinate for axis {axis} is NaN"))
 }
 
+/// The interpolated values of `N` tables sampled on one grid, at the point
+/// whose containing cell is `base` and in-cell offset `frac` per axis.
+///
+/// The same arithmetic as the reference [`LutNd::eval`] loop, so every sum has
+/// the bits of evaluating its table alone: corners are visited in ascending
+/// order, a corner's weight is the product of its per-axis factors (`1 - t`
+/// or `t`, each computed once) in ascending axis order, and a corner of zero
+/// weight is skipped. The weight and flat offset of each corner are computed
+/// once and serve all `N` tables.
+fn corner_sums<const D: usize, const N: usize>(
+    values: [&[f64]; N],
+    strides: &[usize],
+    base: &[usize; D],
+    frac: &[f64; D],
+) -> [f64; N] {
+    let mut stride = [0usize; D];
+    stride.copy_from_slice(strides);
+    let mut w = [[0.0f64; 2]; D];
+    for k in 0..D {
+        w[k] = [1.0 - frac[k], frac[k]];
+    }
+    let mut acc = [0.0; N];
+    for corner in 0..1usize << D {
+        let mut weight = 1.0;
+        let mut flat = 0usize;
+        for k in 0..D {
+            let high = (corner >> k) & 1;
+            weight *= w[k][high];
+            flat += (base[k] + high) * stride[k];
+        }
+        if weight != 0.0 {
+            for (sum, table) in acc.iter_mut().zip(values) {
+                *sum += weight * table[flat];
+            }
+        }
+    }
+    acc
+}
+
 impl LutNd {
     /// Wraps already-validated parts, computing the cached strides.
     fn from_parts(axes: Vec<Axis>, values: Vec<f64>) -> Self {
@@ -135,78 +173,6 @@ impl LutNd {
         Ok(())
     }
 
-    /// Sum over the `2^d` corners of the located cell, `base`/`frac` holding
-    /// the containing cell and in-cell offset per axis. Same corner order,
-    /// weight-product order and skip rule as the reference [`LutNd::eval`]
-    /// loop, so every caller is bit-identical to it.
-    fn corner_sum(&self, base: &[usize], frac: &[f64]) -> f64 {
-        let d = base.len();
-        let corners = 1usize << d;
-        let mut acc = 0.0;
-        for corner in 0..corners {
-            let mut weight = 1.0;
-            let mut flat = 0usize;
-            for k in 0..d {
-                let high = (corner >> k) & 1 == 1;
-                weight *= if high { frac[k] } else { 1.0 - frac[k] };
-                flat += (base[k] + usize::from(high)) * self.strides[k];
-            }
-            if weight != 0.0 {
-                acc += weight * self.values[flat];
-            }
-        }
-        acc
-    }
-
-    /// [`LutNd::corner_sum`] specialized on a compile-time dimensionality so
-    /// the corner loop fully unrolls with stack-array indexing (no slice
-    /// bounds checks in the inner loop). Bit-identical to the generic loop:
-    /// the per-axis weight factors are the same values (`1 - t` computed once
-    /// instead of per corner), multiplied in the same ascending-axis order,
-    /// and the corners accumulate in the same order under the same skip rule.
-    fn corner_sum_fixed<const D: usize>(&self, base: &[usize; D], frac: &[f64; D]) -> f64 {
-        let mut strides = [0usize; D];
-        strides.copy_from_slice(&self.strides);
-        let mut w = [[0.0f64; 2]; D];
-        for k in 0..D {
-            w[k] = [1.0 - frac[k], frac[k]];
-        }
-        let corners = 1usize << D;
-        let mut acc = 0.0;
-        for corner in 0..corners {
-            let mut weight = 1.0;
-            let mut flat = 0usize;
-            for k in 0..D {
-                let high = (corner >> k) & 1;
-                weight *= w[k][high];
-                flat += (base[k] + high) * strides[k];
-            }
-            if weight != 0.0 {
-                acc += weight * self.values[flat];
-            }
-        }
-        acc
-    }
-
-    /// Cursor-hinted locate plus specialized corner sum for a compile-time
-    /// dimensionality — the monomorphized core behind [`LutNd::eval_with_cursor`].
-    fn eval_hinted_fixed<const D: usize>(
-        &self,
-        cursor: &mut LutCursor,
-        coords: &[f64],
-    ) -> Result<f64, NumError> {
-        let mut base = [0usize; D];
-        let mut frac = [0.0; D];
-        for k in 0..D {
-            let (i, t) = self.axes[k]
-                .try_locate_hinted(coords[k], cursor.cells[k])
-                .map_err(|_| nan_query_error(k))?;
-            cursor.cells[k] = i;
-            base[k] = i;
-            frac[k] = t;
-        }
-        Ok(self.corner_sum_fixed(&base, &frac))
-    }
     /// Creates a table from axes and a flat row-major value vector.
     ///
     /// # Errors
@@ -362,11 +328,11 @@ impl LutNd {
     /// Evaluates the table at `coords` by multilinear interpolation.
     ///
     /// This is the **reference path**: it allocates its locate buffers and
-    /// binary-searches every axis on every call. Hot loops should prefer the
-    /// bit-identical allocation-free family ([`LutNd::eval1`]…[`LutNd::eval4`],
-    /// [`LutNd::eval_into`], [`LutNd::eval_with_cursor`]); this entry point is
-    /// retained as the cold-path evaluator and as the baseline the `sim_hotpath`
-    /// benchmark gates the fast paths against.
+    /// binary-searches every axis on every call. Hot loops use the
+    /// bit-identical allocation-free paths ([`LutGroup::eval_with_cursor`],
+    /// [`LutNd::eval_fixed`]); this entry point is the oracle their tests
+    /// compare against and the baseline the `sim_hotpath` benchmark gates them
+    /// against.
     ///
     /// # Errors
     ///
@@ -424,178 +390,8 @@ impl LutNd {
             base[k] = i;
             frac[k] = t;
         }
-        Ok(self.corner_sum_fixed(&base, &frac))
-    }
-
-    /// Stack-only evaluation of a 1-D table (see [`LutNd::eval_fixed`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`LutNd::eval_fixed`].
-    pub fn eval1(&self, x: f64) -> Result<f64, NumError> {
-        self.eval_fixed(&[x])
-    }
-
-    /// Stack-only evaluation of a 2-D table (see [`LutNd::eval_fixed`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`LutNd::eval_fixed`].
-    pub fn eval2(&self, x: f64, y: f64) -> Result<f64, NumError> {
-        self.eval_fixed(&[x, y])
-    }
-
-    /// Stack-only evaluation of a 3-D table (see [`LutNd::eval_fixed`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`LutNd::eval_fixed`].
-    pub fn eval3(&self, x: f64, y: f64, z: f64) -> Result<f64, NumError> {
-        self.eval_fixed(&[x, y, z])
-    }
-
-    /// Stack-only evaluation of a 4-D table — the paper's
-    /// `(V_A, V_B, V_N, V_o)` shape (see [`LutNd::eval_fixed`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`LutNd::eval_fixed`].
-    pub fn eval4(&self, x: f64, y: f64, z: f64, w: f64) -> Result<f64, NumError> {
-        self.eval_fixed(&[x, y, z, w])
-    }
-
-    /// Generic-arity, allocation-free evaluation into `out` using small fixed
-    /// buffers and the precomputed strides; bit-identical to [`LutNd::eval`].
-    /// Tables wider than [`MAX_FAST_DIMS`] fall back to the allocating path.
-    ///
-    /// # Errors
-    ///
-    /// As for [`LutNd::eval`].
-    pub fn eval_into(&self, coords: &[f64], out: &mut f64) -> Result<(), NumError> {
-        self.check_arity(coords.len())?;
-        let d = coords.len();
-        // Common arities dispatch to the fully unrolled fixed-arity path.
-        match d {
-            1 => *out = self.eval_fixed::<1>(coords.try_into().expect("arity checked"))?,
-            2 => *out = self.eval_fixed::<2>(coords.try_into().expect("arity checked"))?,
-            3 => *out = self.eval_fixed::<3>(coords.try_into().expect("arity checked"))?,
-            4 => *out = self.eval_fixed::<4>(coords.try_into().expect("arity checked"))?,
-            d if d <= MAX_FAST_DIMS => {
-                let mut base = [0usize; MAX_FAST_DIMS];
-                let mut frac = [0.0; MAX_FAST_DIMS];
-                for k in 0..d {
-                    let (i, t) = self.axes[k]
-                        .try_locate(coords[k])
-                        .map_err(|_| nan_query_error(k))?;
-                    base[k] = i;
-                    frac[k] = t;
-                }
-                *out = self.corner_sum(&base[..d], &frac[..d]);
-            }
-            _ => *out = self.eval(coords)?,
-        }
-        Ok(())
-    }
-
-    /// Cursor-accelerated evaluation: re-locates each axis from the cursor's
-    /// remembered cell by a bounded neighbor walk (O(1) amortized on
-    /// temporally coherent query streams) and updates the cursor. Bit-identical
-    /// to [`LutNd::eval`] for every query — the cursor only changes how fast
-    /// the containing cell is found, never which cell it is. Tables wider than
-    /// [`MAX_FAST_DIMS`] fall back to the allocating path (cursor unused).
-    ///
-    /// # Errors
-    ///
-    /// As for [`LutNd::eval`].
-    pub fn eval_with_cursor(
-        &self,
-        cursor: &mut LutCursor,
-        coords: &[f64],
-    ) -> Result<f64, NumError> {
-        self.check_arity(coords.len())?;
-        // The table shapes in this workspace (1-D input caps through the 4-D
-        // MCSM components) dispatch to fully unrolled monomorphizations.
-        match coords.len() {
-            1 => self.eval_hinted_fixed::<1>(cursor, coords),
-            2 => self.eval_hinted_fixed::<2>(cursor, coords),
-            3 => self.eval_hinted_fixed::<3>(cursor, coords),
-            4 => self.eval_hinted_fixed::<4>(cursor, coords),
-            d if d <= MAX_FAST_DIMS => {
-                let mut base = [0usize; MAX_FAST_DIMS];
-                let mut frac = [0.0; MAX_FAST_DIMS];
-                for k in 0..d {
-                    let (i, t) = self.axes[k]
-                        .try_locate_hinted(coords[k], cursor.cells[k])
-                        .map_err(|_| nan_query_error(k))?;
-                    cursor.cells[k] = i;
-                    base[k] = i;
-                    frac[k] = t;
-                }
-                Ok(self.corner_sum(&base[..d], &frac[..d]))
-            }
-            _ => self.eval(coords),
-        }
-    }
-
-    /// Evaluates the partial derivative of the interpolant along `axis` at `coords`
-    /// using the slope of the containing cell.
-    ///
-    /// The CSM simulation engine uses these derivatives when running its implicit
-    /// (Newton) integrator, where `dI_o/dV_o` acts as a conductance.
-    ///
-    /// Computed analytically from the located cell's corner values — one locate
-    /// per axis, zero allocations — and bit-identical to the historical
-    /// formulation that evaluated the full table twice at the cell's `axis`
-    /// endpoints (the endpoint evaluations reduce to the same corner sums with
-    /// an exact weight factor of one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::InvalidQuery`] if `axis` is out of range, the number
-    /// of coordinates differs from the number of axes, or any coordinate is NaN.
-    pub fn eval_partial(&self, coords: &[f64], axis: usize) -> Result<f64, NumError> {
-        if axis >= self.axes.len() {
-            return Err(NumError::InvalidQuery(format!(
-                "axis {axis} out of range for a {}-dimensional table",
-                self.axes.len()
-            )));
-        }
-        self.check_arity(coords.len())?;
-        let d = coords.len();
-        if d > MAX_FAST_DIMS {
-            // Allocating fallback: the historical two-eval formulation.
-            let pts = self.axes[axis].points();
-            let (cell, _) = self.axes[axis]
-                .try_locate(coords[axis])
-                .map_err(|_| nan_query_error(axis))?;
-            let h = pts[cell + 1] - pts[cell];
-            let mut lo = coords.to_vec();
-            let mut hi = coords.to_vec();
-            lo[axis] = pts[cell];
-            hi[axis] = pts[cell + 1];
-            let f_lo = self.eval(&lo)?;
-            let f_hi = self.eval(&hi)?;
-            return Ok((f_hi - f_lo) / h);
-        }
-        let mut base = [0usize; MAX_FAST_DIMS];
-        let mut frac = [0.0; MAX_FAST_DIMS];
-        for k in 0..d {
-            let (i, t) = self.axes[k]
-                .try_locate(coords[k])
-                .map_err(|_| nan_query_error(k))?;
-            base[k] = i;
-            frac[k] = t;
-        }
-        let pts = self.axes[axis].points();
-        let cell = base[axis];
-        let h = pts[cell + 1] - pts[cell];
-        // The slope of the cell's interpolant: the difference of the corner
-        // sums on the cell's two `axis` faces over the cell width.
-        frac[axis] = 0.0;
-        let f_lo = self.corner_sum(&base[..d], &frac[..d]);
-        frac[axis] = 1.0;
-        let f_hi = self.corner_sum(&base[..d], &frac[..d]);
-        Ok((f_hi - f_lo) / h)
+        let [value] = corner_sums([&self.values], &self.strides, &base, &frac);
+        Ok(value)
     }
 
     /// Applies a function to every stored value, returning a new table with the
@@ -672,6 +468,102 @@ impl FromJson for LutNd {
     }
 }
 
+/// Tables sampled on one grid, looked up together.
+///
+/// A current-source model reads several tables at the same point on every
+/// engine sub-step, and characterization samples related tables (the
+/// currents, the capacitances) on one shared grid. For such tables the
+/// containing cell, the corner weights and the corner offsets are the same, so
+/// [`LutGroup::eval_with_cursor`] computes them once per query and returns
+/// one value per table. [`LutGroup::new`] checks that every table has the
+/// first table's axes, so a group on mismatched grids cannot be built.
+///
+/// # Example
+///
+/// ```
+/// use mcsm_num::{grid::Axis, lut::{LutCursor, LutGroup, LutNd}};
+///
+/// # fn main() -> Result<(), mcsm_num::NumError> {
+/// let axes = vec![Axis::uniform(0.0, 1.0, 5)?, Axis::uniform(0.0, 2.0, 5)?];
+/// let sum = LutNd::from_fn(axes.clone(), |v| v[0] + v[1])?;
+/// let diff = LutNd::from_fn(axes, |v| v[0] - v[1])?;
+/// let group = LutGroup::new([sum.clone(), diff])?;
+/// let mut cursor = LutCursor::new();
+/// let [s, d] = group.eval_with_cursor(&mut cursor, &[0.3, 1.1])?;
+/// assert_eq!(s.to_bits(), sum.eval(&[0.3, 1.1])?.to_bits());
+/// assert!((d - (0.3 - 1.1)).abs() < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct LutGroup<const N: usize> {
+    tables: [LutNd; N],
+}
+
+impl<const N: usize> LutGroup<N> {
+    /// Groups tables sampled on one grid.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumError::MismatchedAxes`] naming the first table whose axes
+    /// differ from the first table's.
+    pub fn new(tables: [LutNd; N]) -> Result<Self, NumError> {
+        const { assert!(N > 0, "a lut group holds at least one table") };
+        if let Some(table) = tables.iter().position(|t| t.axes != tables[0].axes) {
+            return Err(NumError::MismatchedAxes { table });
+        }
+        Ok(LutGroup { tables })
+    }
+
+    /// The grouped tables, in construction order.
+    pub fn tables(&self) -> &[LutNd; N] {
+        &self.tables
+    }
+
+    /// The grid every table of the group is sampled on.
+    pub fn axes(&self) -> &[Axis] {
+        &self.tables[0].axes
+    }
+
+    /// Evaluates every table at `coords`, locating each coordinate once from
+    /// the cursor's remembered cell (a bounded neighbor walk, O(1) amortized
+    /// on temporally coherent query streams) and updating the cursor. Each
+    /// value is bit-identical to [`LutNd::eval`] of its table — the cursor
+    /// only changes how fast the containing cell is found, never which cell
+    /// it is, and the corner sums keep the reference arithmetic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumError::InvalidQuery`] if `D` differs from the group's
+    /// dimensionality or any coordinate is NaN.
+    pub fn eval_with_cursor<const D: usize>(
+        &self,
+        cursor: &mut LutCursor,
+        coords: &[f64; D],
+    ) -> Result<[f64; N], NumError> {
+        const {
+            assert!(
+                D <= MAX_CURSOR_DIMS,
+                "a cursor remembers MAX_CURSOR_DIMS axes"
+            )
+        };
+        let grid = &self.tables[0];
+        grid.check_arity(D)?;
+        let mut base = [0usize; D];
+        let mut frac = [0.0; D];
+        for k in 0..D {
+            let (i, t) = grid.axes[k]
+                .try_locate_hinted(coords[k], cursor.cells[k])
+                .map_err(|_| nan_query_error(k))?;
+            cursor.cells[k] = i;
+            base[k] = i;
+            frac[k] = t;
+        }
+        let values = self.tables.each_ref().map(|t| t.values.as_slice());
+        Ok(corner_sums(values, &grid.strides, &base, &frac))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,46 +635,49 @@ mod tests {
     }
 
     #[test]
-    fn partial_derivative_of_affine_function() {
-        let axes = vec![axis(4), axis(4)];
-        let lut = LutNd::from_fn(axes, |v| 2.0 * v[0] - 7.0 * v[1]).unwrap();
-        assert!((lut.eval_partial(&[0.4, 0.6], 0).unwrap() - 2.0).abs() < 1e-10);
-        assert!((lut.eval_partial(&[0.4, 0.6], 1).unwrap() + 7.0).abs() < 1e-10);
-        assert!(lut.eval_partial(&[0.4, 0.6], 2).is_err());
-        assert!(lut.eval_partial(&[0.4], 0).is_err());
-    }
-
-    #[test]
     fn nan_queries_are_rejected_with_a_descriptive_error() {
         // Regression for the NaN-unsafe locate fallback: every evaluator must
         // report the NaN instead of silently interpolating in cell 0.
         let lut = LutNd::from_fn(vec![axis(3), axis(3)], |v| v[0] + v[1]).unwrap();
-        let is_nan_err = |r: Result<f64, NumError>| matches!(r, Err(NumError::InvalidQuery(msg)) if msg.contains("NaN"));
-        assert!(is_nan_err(lut.eval(&[0.5, f64::NAN])));
-        assert!(is_nan_err(lut.eval2(f64::NAN, 0.5)));
-        assert!(is_nan_err(lut.eval_fixed(&[0.5, f64::NAN])));
+        let is_nan_err =
+            |e: NumError| matches!(e, NumError::InvalidQuery(msg) if msg.contains("NaN"));
+        assert!(is_nan_err(lut.eval(&[0.5, f64::NAN]).unwrap_err()));
+        assert!(is_nan_err(lut.eval_fixed(&[0.5, f64::NAN]).unwrap_err()));
+        let group = LutGroup::new([lut.clone(), lut]).unwrap();
         assert!(is_nan_err(
-            lut.eval_with_cursor(&mut LutCursor::new(), &[f64::NAN, 0.5])
-        ));
-        assert!(is_nan_err(lut.eval_partial(&[f64::NAN, 0.5], 0)));
-        let mut out = 0.0;
-        assert!(matches!(
-            lut.eval_into(&[0.5, f64::NAN], &mut out),
-            Err(NumError::InvalidQuery(msg)) if msg.contains("NaN")
+            group
+                .eval_with_cursor(&mut LutCursor::new(), &[f64::NAN, 0.5])
+                .unwrap_err()
         ));
     }
 
     #[test]
     fn fast_paths_reject_wrong_arity_like_eval() {
         let lut = LutNd::from_fn(vec![axis(3), axis(3)], |v| v[0]).unwrap();
-        assert!(lut.eval1(0.5).is_err());
-        assert!(lut.eval3(0.5, 0.5, 0.5).is_err());
-        assert!(lut.eval4(0.5, 0.5, 0.5, 0.5).is_err());
-        let mut out = 0.0;
-        assert!(lut.eval_into(&[0.5], &mut out).is_err());
-        assert!(lut
+        assert!(lut.eval_fixed(&[0.5]).is_err());
+        assert!(lut.eval_fixed(&[0.5, 0.5, 0.5, 0.5]).is_err());
+        let group = LutGroup::new([lut]).unwrap();
+        assert!(group
             .eval_with_cursor(&mut LutCursor::new(), &[0.5, 0.5, 0.5])
             .is_err());
+    }
+
+    #[test]
+    fn a_group_is_only_built_on_one_grid() {
+        let on = |axes: Vec<Axis>| LutNd::from_fn(axes, |v| v[0]).unwrap();
+        let grid = vec![axis(3), axis(4)];
+        let group = LutGroup::new([on(grid.clone()), on(grid.clone())]).unwrap();
+        assert_eq!(group.axes(), &grid[..]);
+        // Same shape, other points: still a different grid.
+        let shifted = vec![axis(3), Axis::uniform(0.0, 1.1, 4).unwrap()];
+        assert_eq!(
+            LutGroup::new([on(grid.clone()), on(grid.clone()), on(shifted)]),
+            Err(NumError::MismatchedAxes { table: 2 })
+        );
+        assert_eq!(
+            LutGroup::new([on(grid), on(vec![axis(3)])]),
+            Err(NumError::MismatchedAxes { table: 1 })
+        );
     }
 
     #[test]
@@ -855,10 +750,10 @@ mod proptests {
         }
     }
 
-    /// Builds a random table of `dims` axes: uniform or explicitly non-uniform
-    /// (random strictly increasing points), random lengths, random samples.
-    fn random_table(rng: &mut TestRng, dims: usize) -> LutNd {
-        let axes: Vec<Axis> = (0..dims)
+    /// A random grid of `dims` axes: uniform or explicitly non-uniform
+    /// (random strictly increasing points), random lengths.
+    fn random_grid(rng: &mut TestRng, dims: usize) -> Vec<Axis> {
+        (0..dims)
             .map(|_| {
                 let count = 2 + rng.index(5);
                 if rng.index(2) == 0 {
@@ -875,121 +770,138 @@ mod proptests {
                     Axis::new(points).unwrap()
                 }
             })
-            .collect();
+            .collect()
+    }
+
+    /// `N` tables of random samples on one random grid of `D` axes.
+    fn random_group<const D: usize, const N: usize>(rng: &mut TestRng) -> LutGroup<N> {
+        let axes = random_grid(rng, D);
         let total: usize = axes.iter().map(Axis::len).product();
-        let values: Vec<f64> = (0..total).map(|_| rng.in_range(-10.0, 10.0)).collect();
-        LutNd::new(axes, values).unwrap()
+        let tables = [(); N].map(|_| {
+            let values = (0..total).map(|_| rng.in_range(-10.0, 10.0)).collect();
+            LutNd::new(axes.clone(), values).unwrap()
+        });
+        LutGroup::new(tables).unwrap()
     }
 
     /// One query per axis, randomly interior, at-a-grid-point, or out of range.
-    fn random_query(rng: &mut TestRng, lut: &LutNd) -> Vec<f64> {
-        lut.axes()
-            .iter()
-            .map(|axis| match rng.index(4) {
+    fn random_query<const D: usize>(rng: &mut TestRng, axes: &[Axis]) -> [f64; D] {
+        std::array::from_fn(|k| {
+            let axis = &axes[k];
+            match rng.index(4) {
                 0 => axis.points()[rng.index(axis.len())],
                 1 => axis.min() - rng.in_range(0.0, 1.0),
                 2 => axis.max() + rng.in_range(0.0, 1.0),
                 _ => rng.in_range(axis.min(), axis.max()),
-            })
-            .collect()
+            }
+        })
     }
 
-    fn assert_all_paths_match(lut: &LutNd, cursor: &mut LutCursor, q: &[f64]) {
-        let reference = lut.eval(q).unwrap();
-        let fixed = match q.len() {
-            1 => lut.eval1(q[0]),
-            2 => lut.eval2(q[0], q[1]),
-            3 => lut.eval3(q[0], q[1], q[2]),
-            4 => lut.eval4(q[0], q[1], q[2], q[3]),
-            _ => unreachable!("random tables are 1-4 dimensional"),
+    /// Every evaluation path at `q` has the bits of [`LutNd::eval`], table by
+    /// table: the grouped lookup through `cursor` (whatever cells it
+    /// remembers), the grouped lookup through a cold cursor, and
+    /// [`LutNd::eval_fixed`].
+    fn assert_all_paths_match<const D: usize, const N: usize>(
+        group: &LutGroup<N>,
+        cursor: &mut LutCursor,
+        q: &[f64; D],
+    ) {
+        let hinted = group.eval_with_cursor(cursor, q).unwrap();
+        let cold = group.eval_with_cursor(&mut LutCursor::new(), q).unwrap();
+        for (j, table) in group.tables().iter().enumerate() {
+            let reference = table.eval(q).unwrap().to_bits();
+            let fixed = table.eval_fixed(q).unwrap().to_bits();
+            assert_eq!(reference, fixed, "eval_fixed, table {j} of {N}, at {q:?}");
+            assert_eq!(
+                reference,
+                hinted[j].to_bits(),
+                "grouped, table {j} of {N}, at {q:?}"
+            );
+            assert_eq!(
+                reference,
+                cold[j].to_bits(),
+                "cold cursor, table {j} of {N}, at {q:?}"
+            );
         }
-        .unwrap();
-        let mut into = 0.0;
-        lut.eval_into(q, &mut into).unwrap();
-        let cursored = lut.eval_with_cursor(cursor, q).unwrap();
-        assert_eq!(reference.to_bits(), fixed.to_bits(), "eval1-4 at {q:?}");
-        assert_eq!(reference.to_bits(), into.to_bits(), "eval_into at {q:?}");
-        assert_eq!(reference.to_bits(), cursored.to_bits(), "cursor at {q:?}");
+    }
+
+    /// Runs `$trial::<D, N>($rng)` for every dimensionality 1-4 and group size 1-4.
+    macro_rules! for_every_shape {
+        ($trial:ident($rng:expr)) => {
+            for_every_shape!(@dims $trial($rng); 1 2 3 4)
+        };
+        (@dims $trial:ident($rng:expr); $($d:literal)*) => {
+            $(
+                $trial::<$d, 1>($rng);
+                $trial::<$d, 2>($rng);
+                $trial::<$d, 3>($rng);
+                $trial::<$d, 4>($rng);
+            )*
+        };
+    }
+
+    /// Random query sequences on a random group. The cursor persists across
+    /// the sequence, and starts from random cells that may lie outside the
+    /// grid, so stale hints from arbitrary jumps are exercised too; now and
+    /// then a coordinate is NaN, which every path must reject.
+    fn random_sequence<const D: usize, const N: usize>(rng: &mut TestRng) {
+        let group = random_group::<D, N>(rng);
+        let mut cursor = LutCursor {
+            cells: std::array::from_fn(|_| rng.index(8)),
+        };
+        for _ in 0..40 {
+            let mut q = random_query::<D>(rng, group.axes());
+            if rng.index(10) == 0 {
+                let k = rng.index(D);
+                q[k] = f64::NAN;
+                let nan = |e: NumError| matches!(e, NumError::InvalidQuery(m) if m.contains("NaN"));
+                assert!(nan(group.eval_with_cursor(&mut cursor, &q).unwrap_err()));
+                assert!(nan(group.tables()[0].eval(&q).unwrap_err()));
+                assert!(nan(group.tables()[0].eval_fixed(&q).unwrap_err()));
+                continue;
+            }
+            assert_all_paths_match(&group, &mut cursor, &q);
+        }
+    }
+
+    /// Monotone ramps across (and beyond) every axis, rising then falling:
+    /// the coherent access pattern the cursor is built for, where every step
+    /// lands in the same or an adjacent cell.
+    fn monotone_sweep<const D: usize, const N: usize>(rng: &mut TestRng) {
+        let group = random_group::<D, N>(rng);
+        let mut cursor = LutCursor::new();
+        let spans: [(f64, f64); D] = std::array::from_fn(|k| {
+            let a = &group.axes()[k];
+            let lo = a.min() - 0.2;
+            (lo, a.max() + 0.2 - lo)
+        });
+        let steps = 64;
+        let at = |s: usize| spans.map(|(lo, w)| lo + w * (s as f64 / steps as f64));
+        for s in 0..=steps {
+            assert_all_paths_match(&group, &mut cursor, &at(s));
+        }
+        for s in (0..=steps).rev() {
+            assert_all_paths_match(&group, &mut cursor, &at(s));
+        }
     }
 
     #[test]
     fn all_fast_paths_are_bit_identical_to_eval_on_random_sequences() {
-        // The satellite property test: `eval` == `eval1/2/3(/4)` == `eval_into`
-        // == cursor-based eval, bit for bit, over random tables and random
-        // query sequences including axis edges and out-of-range coordinates.
-        // The cursor persists across the whole sequence, so stale hints from
-        // arbitrary jumps are exercised too.
+        // `eval` == `eval_fixed` == the grouped lookup (running and cold
+        // cursors), bit for bit and table by table, over random groups of 1-4
+        // tables on random 1-4-D grids, with random queries including exact
+        // grid points and out-of-range (clamped) coordinates.
         let mut rng = TestRng::new(0xFA57);
-        for _ in 0..60 {
-            let dims = 1 + rng.index(4);
-            let lut = random_table(&mut rng, dims);
-            let mut cursor = LutCursor::new();
-            for _ in 0..40 {
-                let q = random_query(&mut rng, &lut);
-                assert_all_paths_match(&lut, &mut cursor, &q);
-            }
+        for _ in 0..4 {
+            for_every_shape!(random_sequence(&mut rng));
         }
     }
 
     #[test]
     fn all_fast_paths_are_bit_identical_to_eval_on_monotone_sweeps() {
-        // Monotone ramps are the coherent access pattern the cursor is built
-        // for: every step lands in the same or an adjacent cell.
         let mut rng = TestRng::new(0x510);
-        for _ in 0..30 {
-            let dims = 1 + rng.index(4);
-            let lut = random_table(&mut rng, dims);
-            let mut cursor = LutCursor::new();
-            let spans: Vec<(f64, f64)> = lut
-                .axes()
-                .iter()
-                .map(|a| {
-                    let lo = a.min() - 0.2;
-                    (lo, a.max() + 0.2 - lo)
-                })
-                .collect();
-            let steps = 64;
-            for s in 0..=steps {
-                let f = s as f64 / steps as f64;
-                let rising: Vec<f64> = spans.iter().map(|&(lo, w)| lo + w * f).collect();
-                assert_all_paths_match(&lut, &mut cursor, &rising);
-            }
-            for s in (0..=steps).rev() {
-                let f = s as f64 / steps as f64;
-                let falling: Vec<f64> = spans.iter().map(|&(lo, w)| lo + w * f).collect();
-                assert_all_paths_match(&lut, &mut cursor, &falling);
-            }
-        }
-    }
-
-    #[test]
-    fn analytic_eval_partial_matches_the_two_eval_formula_exactly() {
-        // Pin the analytic derivative against the historical formulation:
-        // evaluate the full table at the containing cell's two endpoints along
-        // the requested axis. The corner sums reduce to the same terms, so the
-        // match is to the bit.
-        let mut rng = TestRng::new(0x9A27);
-        for _ in 0..60 {
-            let dims = 1 + rng.index(4);
-            let lut = random_table(&mut rng, dims);
-            for _ in 0..20 {
-                let q = random_query(&mut rng, &lut);
-                let axis = rng.index(dims);
-                let analytic = lut.eval_partial(&q, axis).unwrap();
-                let pts = lut.axes()[axis].points();
-                let (cell, _) = lut.axes()[axis].locate(q[axis]);
-                let h = pts[cell + 1] - pts[cell];
-                let mut lo = q.clone();
-                let mut hi = q.clone();
-                lo[axis] = pts[cell];
-                hi[axis] = pts[cell + 1];
-                let two_eval = (lut.eval(&hi).unwrap() - lut.eval(&lo).unwrap()) / h;
-                assert_eq!(
-                    analytic.to_bits(),
-                    two_eval.to_bits(),
-                    "axis {axis} at {q:?}"
-                );
-            }
+        for _ in 0..2 {
+            for_every_shape!(monotone_sweep(&mut rng));
         }
     }
 

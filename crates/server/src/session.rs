@@ -608,6 +608,10 @@ impl Session {
             response_fields.push(("observe", num(points.len() as f64)));
         }
         let response = obj(response_fields);
+        // The previous netlist's solves would only be hit again by a reload
+        // of the same gates; drop them so a resident session holds the solves
+        // of one netlist at a time. The memo's counters stay cumulative.
+        self.waveforms.clear();
         self.circuit = Some(Circuit {
             netlist,
             drives,
@@ -1714,6 +1718,30 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.code(), -32000);
         assert!(err.to_string().to_lowercase().contains("clock"), "{err}");
+    }
+
+    #[test]
+    fn a_reload_frees_the_waveform_memo_and_keeps_its_counters() {
+        let mut session = session();
+        let memo = |session: &mut Session| {
+            let stats = session.handle("stats", &params("{}")).unwrap();
+            let cache = stats.get("waveform_cache").unwrap().clone();
+            let field = |key: &str| cache.get(key).unwrap().as_f64().unwrap();
+            (field("len"), field("hits"), field("misses"))
+        };
+        let c17 = params(r#"{"builtin": "c17"}"#);
+        session.handle("load_netlist", &c17).unwrap();
+        let fall = params(r#"{"net": "N1", "drive": {"kind": "fall"}}"#);
+        session.handle("set_drive", &fall).unwrap();
+        session.handle("resim", &params("{}")).unwrap();
+        let (entries, hits, misses) = memo(&mut session);
+        assert!(entries > 0.0 && misses > 0.0, "the resim filled the memo");
+        let reload = session.handle("load_netlist", &c17).unwrap();
+        let cache = reload.get("cache").unwrap();
+        for key in ["waveform_hits", "waveform_misses"] {
+            assert_eq!(cache.get(key).unwrap().as_f64(), Some(0.0), "{key}");
+        }
+        assert_eq!(memo(&mut session), (0.0, hits, misses));
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = characterize_mcsm(&nor2, &config)?;
     println!(
         "  -> tables over {} grid points per current axis",
-        model.io.lut().axes()[0].len()
+        model.current_tables.axes()[0].len()
     );
 
     // 3. A simultaneous '11' -> '00' transition into an FO2 load.

@@ -10,7 +10,7 @@ use mcsm::cells::cell::{CellKind, CellTemplate};
 use mcsm::cells::tech::Technology;
 use mcsm::core::characterize::{characterize_mcsm, characterize_sis};
 use mcsm::core::config::CharacterizationConfig;
-use mcsm::core::eval::EvalMode;
+use mcsm::core::eval::{EvalMode, EvalState};
 use mcsm::core::sim::{CsmIntegration, CsmSimOptions, DriveWaveform, Simulation};
 use mcsm::core::store::ModelStore;
 use mcsm::netsim::{simulate_netlist, NetsimOptions};
@@ -60,21 +60,22 @@ fn simulation_is_bit_identical_across_eval_modes_on_characterized_models() {
 #[test]
 fn characterization_rig_outputs_feed_identical_models_through_both_paths() {
     // The SIS flow exercises the rig's swept grids; the resulting tables must
-    // evaluate identically through the cursor path and the reference path at
-    // random probe points (including out-of-range ones).
+    // evaluate identically through the grouped cursor lookup (here one table
+    // on its grid) and the reference path at random probe points (including
+    // out-of-range ones).
     let tech = Technology::cmos_130nm();
     let template = CellTemplate::new(CellKind::Inverter, tech);
     let sis = characterize_sis(&template, 0, &CharacterizationConfig::coarse()).unwrap();
     let mut store = ModelStore::new();
     store.sis.push(sis);
     let model = store.sis_for_pin(0).unwrap();
-    let lut = model.io.lut();
-    let mut cursor = mcsm::num::LutCursor::new();
+    // One cursor, for the one grid under test.
+    let mut eval = EvalState::fast(1);
     let mut rng = TestRng::new(0x51f);
     for _ in 0..200 {
         let q = [rng.in_range(-0.4, 1.6), rng.in_range(-0.4, 1.6)];
-        let reference = lut.eval(&q).unwrap();
-        let fast = lut.eval_with_cursor(&mut cursor, &q).unwrap();
+        let reference = model.current_tables.lut(0).eval(&q).unwrap();
+        let [fast] = model.current_tables.eval_with(&mut eval, 0, q);
         assert_eq!(reference.to_bits(), fast.to_bits(), "at {q:?}");
     }
 }
